@@ -20,7 +20,6 @@ from .game import (
     MixedStrategy,
     Restriction,
     expected_payoff,
-    payoff_pure,
     restriction_leq,
 )
 from .lp import (

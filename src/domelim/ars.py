@@ -122,7 +122,14 @@ class NewmanReport:
 def newman_experiment(
     samples: int, max_nodes: int, p_num: int, p_den: int, seed: int
 ) -> NewmanReport:
-    """Sample DAGs and test weakly-confluent => unique-normal-form."""
+    """Sample DAGs and test weakly-confluent => unique-normal-form.
+
+    Each sample draws its node count uniformly from 2..max_nodes.
+    """
+    if samples < 0:
+        raise StructuralError(f"sample count must be non-negative, got {samples}")
+    if max_nodes < 2:
+        raise StructuralError(f"node count must be at least 2, got {max_nodes}")
     rng = random.Random(seed)
     wc = nwc = unf = failures = 0
     for _ in range(samples):

@@ -131,8 +131,11 @@ def _cmd_reduce(args) -> int:
     trace = normal_form(rel, g, policy)
     _print_kept(trace.outcome)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(dump_trace(trace))
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(dump_trace(trace))
+        except OSError as exc:
+            raise StructuralError(f"cannot write {args.trace}: {exc}")
     return EXIT_OK
 
 

@@ -36,7 +36,7 @@ from .game import (
     MixedStrategy,
     Restriction,
 )
-from .lp import best_response_feasible, max_min_advantage
+from .lp import best_response_feasible, max_min_advantage, pure_best_response
 
 INHERENT_JOINT_CAP = 16
 
@@ -268,12 +268,9 @@ def is_inherently_dominated(
             f"{len(opps)} opponent joints exceed the inherent-dominance cap {cap}"
         )
     rivals = [t for t in r.kept[i] if t != s]
-    g = r.game
     # Quick refutation: a singleton subset needs a strictly better rival.
-    for opp in opps:
-        mine = g.payoff(i, r.full_joint(i, s, opp))
-        if all(g.payoff(i, r.full_joint(i, t, opp)) <= mine for t in rivals):
-            return False, None
+    if pure_best_response(r, i, s, rivals) is not None:
+        return False, None
     found: list[tuple[tuple[tuple[int, ...], ...], int]] = []
     for subset in _nonempty_subsets(opps):
         dom = next(
@@ -315,19 +312,27 @@ def _is_dominated_raw(
             pool = [t for t in range(g.sizes[i]) if t != s]
         else:
             pool = [t for t in r.kept[i] if t != s]
-        if not pool:
+        # A pure best response of s settles it: eps <= 0 without the LP.
+        if not pool or pure_best_response(r, i, s, pool) is not None:
             return None
         eps, mixed = max_min_advantage(r, i, s, pool)
         return MixedDominator(mixed, eps) if eps > 0 else None
     if isinstance(rel, (NeverBestResponse, GlobalNeverBestResponse)):
         global_pool = isinstance(rel, GlobalNeverBestResponse)
         compare = tuple(range(g.sizes[i])) if global_pool else None
+        pool = compare if compare is not None else r.kept[i]
+        # Where the LP decides (correlated beliefs, or independent ones on two
+        # players), a pure best response is already a witness.
+        solved_by_lp = rel.mode is BeliefMode.CORRELATED or (
+            rel.mode is BeliefMode.MIXED_INDEPENDENT and r.n == 2
+        )
+        if solved_by_lp and pure_best_response(r, i, s, pool) is not None:
+            return None
         witness = best_response_feasible(r, i, s, rel.mode, compare)
         if witness is not None:
             return None
         if rel.mode is BeliefMode.PURE:
             better = []
-            pool = compare if compare is not None else r.kept[i]
             for opp in r.opponent_joints(i):
                 mine = g.payoff(i, r.full_joint(i, s, opp))
                 t = next(

@@ -108,11 +108,6 @@ class Game:
         return product(*(range(s) for s in self.sizes))
 
 
-def payoff_pure(g: Game, i: int, joint: Sequence[int]) -> Fraction:
-    """Stored payoff of player `i` at a joint pure strategy."""
-    return g.payoff(i, joint)
-
-
 @dataclass(frozen=True)
 class Restriction:
     """Per-player nonempty subsets of the initial game's strategies.
@@ -279,16 +274,6 @@ class CorrelatedBelief:
 
 
 Belief = Union[JointPureBelief, MixedProfileBelief, CorrelatedBelief]
-
-
-def belief_mode(b: Belief) -> BeliefMode:
-    if isinstance(b, JointPureBelief):
-        return BeliefMode.PURE
-    if isinstance(b, MixedProfileBelief):
-        return BeliefMode.MIXED_INDEPENDENT
-    if isinstance(b, CorrelatedBelief):
-        return BeliefMode.CORRELATED
-    raise StructuralError(f"not a belief: {type(b).__name__}")
 
 
 def expected_payoff(g: Game, i: int, s_i: int, belief: Belief) -> Fraction:

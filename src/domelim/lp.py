@@ -1,21 +1,33 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex over `fractions.Fraction` with Bland's
-anti-cycling rule (first eligible index enters; ties in the ratio test
-break toward the smallest basic variable index).  Strictness of every
-game-theoretic inequality is decided by the sign of an exact optimum,
-never by a tolerance.
+Two-phase primal simplex with Bland's anti-cycling rule (first eligible
+index enters; ties in the ratio test break toward the smallest basic
+variable index).  Strictness of every game-theoretic inequality is decided
+by the sign of an exact optimum, never by a tolerance.
 
-On top of the solver sit the two decision oracles used by the dominance
+The tableau is held in Python `int`s: each row, the objective row included,
+is the rational row times some positive factor, and a pivot computes
+`p*row - f*pivot_row` and divides out the row's gcd.  Bland's rule reads
+only signs and ratios within a row, which a positive factor does not
+change, so the pivot path is the one a `Fraction` tableau takes (the tests
+keep that tableau as the reference).  The solution is read back as
+`rhs / basic entry` per row, the value as objective . solution.
+
+On top of the solver sit the decision oracles used by the dominance
 relations: the max-min advantage of a mixed strategy pool over a fixed
-pure strategy, and best-response feasibility under correlated (or
-two-player independent-mixed) beliefs.
+pure strategy, best-response feasibility under correlated (or two-player
+independent-mixed) beliefs, and the pure best-response scan.  The two LP
+oracles always solve their LP, so their margins, mixtures and beliefs are
+full answers, and the LP-duality cross-check compares two solved LPs.  The
+dominance layer runs the pure scan first and skips the LP when a pure
+opponent joint already settles the question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import StructuralError, UnsupportedConfiguration
@@ -70,22 +82,51 @@ class LpOutcome:
     solution: Optional[tuple[Fraction, ...]] = None
 
 
-def _pivot(rows: list[list[Fraction]], obj: list[Fraction], basis: list[int], r: int, c: int) -> None:
-    piv = rows[r][c]
-    rows[r] = [x / piv for x in rows[r]]
+def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of `xs` over their least common denominator."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _reduced(row: list[int]) -> list[int]:
+    """`row` divided by the gcd of its entries (a zero row stays as it is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _objective_row(base: list[int], terms: list[tuple[int, list[int], int]]) -> list[int]:
+    """base + sum of k * row / row[b] over the (k, row, b) terms, where b is
+    the row's basic column, times a positive factor."""
+    scale = lcm(*(row[b] for _, row, b in terms))
+    obj = [scale * x for x in base]
+    for k, row, b in terms:
+        f = k * (scale // row[b])
+        obj = [x + f * y for x, y in zip(obj, row)]
+    return _reduced(obj)
+
+
+def _pivot(rows: list[list[int]], obj: list[int], basis: list[int], r: int, c: int) -> None:
+    """Make column c basic in row r.
+
+    Each row stays a positive multiple of its rational tableau row: the
+    pivot row is negated when its entry is negative (only the phase-1
+    drive-out pivots on one), and every other row becomes p*row - f*prow.
+    """
+    if rows[r][c] < 0:
+        rows[r] = [-x for x in rows[r]]
     prow = rows[r]
+    p = prow[c]
     for k, row in enumerate(rows):
         if k != r and row[c] != 0:
             f = row[c]
-            rows[k] = [x - f * y for x, y in zip(row, prow)]
+            rows[k] = _reduced([p * x - f * y for x, y in zip(row, prow)])
     if obj[c] != 0:
         f = obj[c]
-        for j in range(len(obj)):
-            obj[j] -= f * prow[j]
+        obj[:] = _reduced([p * x - f * y for x, y in zip(obj, prow)])
     basis[r] = c
 
 
-def _run(rows: list[list[Fraction]], obj: list[Fraction], basis: list[int]) -> str:
+def _run(rows: list[list[int]], obj: list[int], basis: list[int]) -> str:
     """Bland simplex loop; obj holds negated reduced costs, rhs last."""
     ncols = len(obj) - 1
     while True:
@@ -97,15 +138,15 @@ def _run(rows: list[list[Fraction]], obj: list[Fraction], basis: list[int]) -> s
         if enter < 0:
             return OPTIMAL
         leave = -1
-        best: Optional[Fraction] = None
+        best_num = best_den = 0
         for r, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best = ratio
+                # ratio row[-1] / a against best_num / best_den, both dens > 0
+                lhs = row[-1] * best_den
+                rhs = best_num * a
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    best_num, best_den = row[-1], a
                     leave = r
         if leave < 0:
             return UNBOUNDED
@@ -124,49 +165,46 @@ def solve(lp: LinearProgram) -> LpOutcome:
             cols.append((j, -1))
     nstruct = len(cols)
 
-    # Expand rows over the split columns, then force rhs >= 0.
-    raw: list[tuple[list[Fraction], str, Fraction]] = []
+    # Clear each row's denominators over the split columns, then force
+    # rhs >= 0.  `den` is the row's factor: its slack or artificial entry.
+    raw: list[tuple[list[int], str, int]] = []
     for coeffs, cmp, rhs in lp.constraints:
-        row = [coeffs[j] * sign for j, sign in cols]
-        if rhs < 0:
+        ints, den = _cleared(list(coeffs) + [rhs])
+        row = [ints[j] * sign for j, sign in cols] + ints[-1:]
+        if row[-1] < 0:
             row = [-x for x in row]
-            rhs = -rhs
             cmp = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[cmp]
-        raw.append((row, cmp, rhs))
+        raw.append((row, cmp, den))
 
-    m = len(raw)
     nslack = sum(1 for _, cmp, _ in raw if cmp != EQ)
     # Artificials: every >= / = row; <= rows start basic on their slack.
-    art_rows = [r for r, (_, cmp, _) in enumerate(raw) if cmp != LEQ]
-    nart = len(art_rows)
+    nart = sum(1 for _, cmp, _ in raw if cmp != LEQ)
     ncols = nstruct + nslack + nart
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
     slack_at = 0
     art_at = 0
-    for r, (row, cmp, rhs) in enumerate(raw):
-        full = row + [ZERO] * (nslack + nart) + [rhs]
+    for row, cmp, den in raw:
+        full = row[:-1] + [0] * (nslack + nart) + row[-1:]
         if cmp != EQ:
-            full[nstruct + slack_at] = ONE if cmp == LEQ else -ONE
+            full[nstruct + slack_at] = den if cmp == LEQ else -den
             slack_at += 1
         if cmp == LEQ:
             basis.append(nstruct + slack_at - 1)
         else:
-            full[nstruct + nslack + art_at] = ONE
+            full[nstruct + nslack + art_at] = den
             basis.append(nstruct + nslack + art_at)
             art_at += 1
         rows.append(full)
 
     if nart:
         # Phase 1: maximize -(sum of artificials).
-        obj = [ZERO] * (ncols + 1)
-        for j in range(nstruct + nslack, ncols):
-            obj[j] = ONE
-        for r in range(m):
-            if basis[r] >= nstruct + nslack:
-                for j in range(ncols + 1):
-                    obj[j] -= rows[r][j]
+        unit_art = [0] * (nstruct + nslack) + [1] * nart + [0]
+        obj = _objective_row(
+            unit_art,
+            [(-1, rows[r], b) for r, b in enumerate(basis) if b >= nstruct + nslack],
+        )
         status = _run(rows, obj, basis)
         assert status == OPTIMAL  # phase 1 is bounded above by 0
         if obj[-1] != 0:
@@ -188,15 +226,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
         ncols = nstruct + nslack
 
     # Phase 2 objective: negated reduced costs of the real objective.
-    cost = [ZERO] * (ncols + 1)
-    for k, (j, sign) in enumerate(cols):
-        cost[k] = lp.objective[j] * sign
-    obj = [-c for c in cost]
-    for r, b in enumerate(basis):
-        if cost[b] != 0:
-            f = cost[b]
-            for j in range(ncols + 1):
-                obj[j] += f * rows[r][j]
+    cost, _ = _cleared([lp.objective[j] * sign for j, sign in cols])
+    cost += [0] * (ncols - nstruct + 1)
+    obj = _objective_row(
+        [-c for c in cost],
+        [(cost[b], rows[r], b) for r, b in enumerate(basis) if cost[b] != 0],
+    )
     status = _run(rows, obj, basis)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
@@ -204,11 +239,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
     split = [ZERO] * nstruct
     for r, b in enumerate(basis):
         if b < nstruct:
-            split[b] = rows[r][-1]
+            split[b] = Fraction(rows[r][-1], rows[r][b])
     solution = [ZERO] * nv
     for k, (j, sign) in enumerate(cols):
         solution[j] += split[k] * sign
-    return LpOutcome(OPTIMAL, obj[-1], tuple(solution))
+    value = sum((c * x for c, x in zip(lp.objective, solution)), ZERO)
+    return LpOutcome(OPTIMAL, value, tuple(solution))
 
 
 def check_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
@@ -264,6 +300,23 @@ def max_min_advantage(
     return out.value, MixedStrategy.of(i, weights)
 
 
+def pure_best_response(
+    r: Restriction, i: int, s: int, pool: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """First opponent joint of R (odometer order) where `s` scores at least
+    as much as every strategy of `pool`, or None.
+
+    Such a joint is a pure belief against which `s` is a best response, so
+    no mixture of `pool` strictly dominates `s` in R.
+    """
+    g = r.game
+    for opp in r.opponent_joints(i):
+        mine = g.payoff(i, r.full_joint(i, s, opp))
+        if all(g.payoff(i, r.full_joint(i, t, opp)) <= mine for t in pool):
+            return opp
+    return None
+
+
 def best_response_feasible(
     r: Restriction,
     i: int,
@@ -285,16 +338,12 @@ def best_response_feasible(
         raise UnsupportedConfiguration(
             "independent mixed beliefs with 3+ players are not decidable here"
         )
-    opps = r.opponent_joints(i)
-
     if mode is BeliefMode.PURE:
-        for opp in opps:
-            mine = g.payoff(i, r.full_joint(i, s, opp))
-            if all(g.payoff(i, r.full_joint(i, t, opp)) <= mine for t in pool):
-                return JointPureBelief(i, opp)
-        return None
+        opp = pure_best_response(r, i, s, pool)
+        return None if opp is None else JointPureBelief(i, opp)
 
     # Correlated case; with two players the independent case coincides.
+    opps = r.opponent_joints(i)
     nv = len(opps)
     constraints = []
     for t in pool:

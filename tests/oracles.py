@@ -4,14 +4,26 @@ These deliberately avoid the engine's decision paths: dominance is checked
 by exhaustive scans, two-support max-min values by breakpoint enumeration
 of the piecewise-linear objective, and mixed-dominance refutations by
 dense rational grids.  They exist to compute expected values, not to be
-fast.
+fast.  `fraction_simplex` is the engine's former `Fraction` tableau, kept as
+the reference whose pivot path the integer tableau in `lp.solve` must follow.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from domelim.game import Restriction
+from domelim.lp import (
+    EQ,
+    GEQ,
+    INFEASIBLE,
+    LEQ,
+    OPTIMAL,
+    UNBOUNDED,
+    LinearProgram,
+    LpOutcome,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -127,3 +139,141 @@ def ars_normal_forms_brute(nodes: int, edges, start: int) -> set[int]:
                 reach.add(y)
                 frontier.append(y)
     return {x for x in reach if not succ[x]}
+
+
+def _frac_pivot(rows, obj, basis, r, c, stats) -> None:
+    piv = rows[r][c]
+    stats["pivots"] += 1
+    stats["negative_pivots"] += piv < 0
+    rows[r] = [x / piv for x in rows[r]]
+    prow = rows[r]
+    for k, row in enumerate(rows):
+        if k != r and row[c] != 0:
+            f = row[c]
+            rows[k] = [x - f * y for x, y in zip(row, prow)]
+    if obj[c] != 0:
+        f = obj[c]
+        for j in range(len(obj)):
+            obj[j] -= f * prow[j]
+    basis[r] = c
+
+
+def _frac_run(rows, obj, basis, stats) -> str:
+    ncols = len(obj) - 1
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return OPTIMAL
+        leave = -1
+        best = None
+        for r, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[r] < basis[leave]
+                ):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            return UNBOUNDED
+        _frac_pivot(rows, obj, basis, leave, enter, stats)
+
+
+def fraction_simplex(lp: LinearProgram) -> tuple[LpOutcome, Counter]:
+    """Two-phase Bland simplex over a `Fraction` tableau.
+
+    Returns the outcome and counts of pivots, pivots on a negative entry
+    (only the phase-1 drive-out makes those) and redundant rows dropped.
+    """
+    stats: Counter = Counter()
+    nv = len(lp.objective)
+    cols = []
+    for j in range(nv):
+        cols.append((j, 1))
+        if not lp.nonneg[j]:
+            cols.append((j, -1))
+    nstruct = len(cols)
+
+    raw = []
+    for coeffs, cmp, rhs in lp.constraints:
+        row = [coeffs[j] * sign for j, sign in cols]
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+            cmp = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[cmp]
+        raw.append((row, cmp, rhs))
+
+    m = len(raw)
+    nslack = sum(1 for _, cmp, _ in raw if cmp != EQ)
+    nart = sum(1 for _, cmp, _ in raw if cmp != LEQ)
+    ncols = nstruct + nslack + nart
+
+    rows = []
+    basis = []
+    slack_at = 0
+    art_at = 0
+    for row, cmp, rhs in raw:
+        full = row + [ZERO] * (nslack + nart) + [rhs]
+        if cmp != EQ:
+            full[nstruct + slack_at] = ONE if cmp == LEQ else -ONE
+            slack_at += 1
+        if cmp == LEQ:
+            basis.append(nstruct + slack_at - 1)
+        else:
+            full[nstruct + nslack + art_at] = ONE
+            basis.append(nstruct + nslack + art_at)
+            art_at += 1
+        rows.append(full)
+
+    if nart:
+        obj = [ZERO] * (ncols + 1)
+        for j in range(nstruct + nslack, ncols):
+            obj[j] = ONE
+        for r in range(m):
+            if basis[r] >= nstruct + nslack:
+                for j in range(ncols + 1):
+                    obj[j] -= rows[r][j]
+        assert _frac_run(rows, obj, basis, stats) == OPTIMAL
+        if obj[-1] != 0:
+            return LpOutcome(INFEASIBLE), stats
+        r = 0
+        while r < len(rows):
+            if basis[r] >= nstruct + nslack:
+                piv = next(
+                    (j for j in range(nstruct + nslack) if rows[r][j] != 0), None
+                )
+                if piv is None:
+                    rows.pop(r)
+                    basis.pop(r)
+                    stats["dropped_rows"] += 1
+                    continue
+                _frac_pivot(rows, obj, basis, r, piv, stats)
+            r += 1
+        rows = [row[: nstruct + nslack] + row[-1:] for row in rows]
+        ncols = nstruct + nslack
+
+    cost = [ZERO] * (ncols + 1)
+    for k, (j, sign) in enumerate(cols):
+        cost[k] = lp.objective[j] * sign
+    obj = [-c for c in cost]
+    for r, b in enumerate(basis):
+        if cost[b] != 0:
+            f = cost[b]
+            for j in range(ncols + 1):
+                obj[j] += f * rows[r][j]
+    if _frac_run(rows, obj, basis, stats) == UNBOUNDED:
+        return LpOutcome(UNBOUNDED), stats
+
+    split = [ZERO] * nstruct
+    for r, b in enumerate(basis):
+        if b < nstruct:
+            split[b] = rows[r][-1]
+    solution = [ZERO] * nv
+    for k, (j, sign) in enumerate(cols):
+        solution[j] += split[k] * sign
+    return LpOutcome(OPTIMAL, obj[-1], tuple(solution)), stats

@@ -66,6 +66,14 @@ class TestReduce:
         assert code == 0
         verify_trace_document(json.loads(out.read_text()), G_MIX)
 
+    def test_trace_into_missing_directory(self, mix_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "trace.json"
+        code = main(
+            ["reduce", mix_file, "--relation", "strict-mixed", "--trace", str(out)]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_three_player_mixed_beliefs_unsupported(self, tmp_path, capsys):
         path = tmp_path / "g3.game"
         path.write_text(THREE_PLAYER)
@@ -189,3 +197,17 @@ class TestArs:
             ["ars", "--nodes", "5", "--edge-prob", "0.25", "--samples", "10", "--seed", "1"]
         )
         assert code == 2
+
+    def test_too_few_nodes(self, capsys):
+        code = main(
+            ["ars", "--nodes", "1", "--edge-prob", "1/4", "--samples", "10", "--seed", "1"]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_samples(self, capsys):
+        code = main(
+            ["ars", "--nodes", "5", "--edge-prob", "1/4", "--samples", "-3", "--seed", "1"]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err

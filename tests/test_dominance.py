@@ -11,6 +11,8 @@ from domelim.dominance import (
     GlobalStrictPure,
     Inherent,
     Intersection,
+    MixedDominator,
+    NeverBest,
     NeverBestResponse,
     StrictMixed,
     StrictPure,
@@ -36,6 +38,7 @@ from domelim.errors import (
 )
 from domelim.game import BeliefMode, MixedStrategy, Restriction
 from domelim.generate import random_game
+from domelim.lp import best_response_feasible, max_min_advantage, pure_best_response
 
 from oracles import pure_dominator_scan, weak_dominator_scan
 
@@ -241,6 +244,67 @@ class TestInclusionChains:
                 dominated_set(NeverBestResponse(PURE), r, validate=False)
             )
             assert set(dominated_set(rel, r, validate=False)) == expected
+
+
+def _random_restrictions(seed, count):
+    """Random 2- and 3-player games, each with a random sub-restriction."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        g = random_game(rng, 3 if k % 3 == 0 else 2)
+        kept = []
+        for size in g.sizes:
+            chosen = tuple(s for s in range(size) if rng.random() < 0.7)
+            kept.append(chosen or (rng.randrange(size),))
+        out.append(Restriction(g, tuple(kept)))
+    return out
+
+
+class TestPureWitnessPrefilter:
+    """`dominated_set` skips the LP where a pure best response settles it;
+    the LP oracles, always solved here, must agree with every skip."""
+
+    def test_pure_witness_settles_both_lps(self):
+        hits = 0
+        for r in _random_restrictions(41, 40):
+            g = r.game
+            for i, s in r.strategies():
+                for compare in (None, tuple(range(g.sizes[i]))):
+                    pool = compare if compare is not None else r.kept[i]
+                    if pure_best_response(r, i, s, pool) is None:
+                        continue
+                    hits += 1
+                    rivals = [t for t in pool if t != s]
+                    if rivals:
+                        assert max_min_advantage(r, i, s, rivals)[0] <= 0
+                    assert best_response_feasible(r, i, s, CORR, compare) is not None
+        assert hits > 0
+
+    def test_dominated_sets_match_lp_oracles(self):
+        mixed = BeliefMode.MIXED_INDEPENDENT
+        for r in _random_restrictions(42, 30):
+            g = r.game
+            full_pools = [tuple(range(size)) for size in g.sizes]
+            for global_pool in (False, True):
+                expected = {}
+                for i, s in r.strategies():
+                    pool = full_pools[i] if global_pool else r.kept[i]
+                    rivals = [t for t in pool if t != s]
+                    if rivals:
+                        eps, m = max_min_advantage(r, i, s, rivals)
+                        if eps > 0:
+                            expected[(i, s)] = MixedDominator(m, eps)
+                rel = GlobalStrictMixed() if global_pool else StrictMixed()
+                assert dominated_set(rel, r, validate=False) == expected
+                compare = full_pools if global_pool else [None] * r.n
+                for mode in (CORR, mixed) if r.n == 2 else (CORR,):
+                    expected = {
+                        (i, s): NeverBest(mode, global_pool)
+                        for i, s in r.strategies()
+                        if best_response_feasible(r, i, s, mode, compare[i]) is None
+                    }
+                    rel = GlobalNeverBestResponse(mode) if global_pool else NeverBestResponse(mode)
+                    assert dominated_set(rel, r, validate=False) == expected
 
 
 class TestRelationNames:

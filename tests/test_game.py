@@ -15,7 +15,6 @@ from domelim.game import (
     MixedStrategy,
     Restriction,
     expected_payoff,
-    payoff_pure,
     restriction_leq,
 )
 from domelim.generate import random_game
@@ -41,21 +40,21 @@ class TestGameConstruction:
 
 class TestPayoffPure:
     def test_pd_cooperate(self, g_pd):
-        assert payoff_pure(g_pd, 0, (0, 0)) == 2
+        assert g_pd.payoff(0, (0, 0)) == 2
 
     def test_one_by_one(self, g_one):
-        assert payoff_pure(g_one, 0, (0, 0)) == 0
-        assert payoff_pure(g_one, 1, (0, 0)) == 0
+        assert g_one.payoff(0, (0, 0)) == 0
+        assert g_one.payoff(1, (0, 0)) == 0
 
     def test_mix_column_all_zero(self, g_mix):
         for joint in g_mix.joints():
-            assert payoff_pure(g_mix, 1, joint) == 0
+            assert g_mix.payoff(1, joint) == 0
 
     def test_out_of_bounds(self, g_pd):
         with pytest.raises(StructuralError):
-            payoff_pure(g_pd, 0, (2, 0))
+            g_pd.payoff(0, (2, 0))
         with pytest.raises(StructuralError):
-            payoff_pure(g_pd, 2, (0, 0))
+            g_pd.payoff(2, (0, 0))
 
     def test_total_on_random_games(self):
         rng = random.Random(1)
@@ -79,7 +78,7 @@ class TestExpectedPayoff:
         for s in range(2):
             for o in range(2):
                 b = JointPureBelief(0, (o,))
-                assert expected_payoff(g_pd, 0, s, b) == payoff_pure(g_pd, 0, (s, o))
+                assert expected_payoff(g_pd, 0, s, b) == g_pd.payoff(0, (s, o))
 
     def test_point_mass_correlated_equals_pure(self):
         rng = random.Random(2)

@@ -1,10 +1,12 @@
 """Exact simplex and the two game-theoretic decision oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from domelim import lp as lp_module
 from domelim.errors import StructuralError, UnsupportedConfiguration
 from domelim.game import BeliefMode, CorrelatedBelief, Restriction, expected_payoff
 from domelim.generate import random_game
@@ -24,6 +26,7 @@ from domelim.lp import (
 
 from oracles import (
     best_response_scan,
+    fraction_simplex,
     grid_refutes_mixed_dominance,
     maxmin_two_support,
 )
@@ -117,6 +120,91 @@ class TestSolve:
                 assert ref.status == 3
             else:
                 assert ref.status == 2
+
+
+def _coeff(rng):
+    return F(rng.randint(-3, 3), rng.choice([1, 1, 1, 2, 3, 4]))
+
+
+def _random_program(rng):
+    """Small LP with fractional entries, any sign of rhs, all three row
+    kinds, free variables and, often, an `=` row repeated up to a factor."""
+    nv = rng.randint(1, 5)
+    rows = [
+        (tuple(_coeff(rng) for _ in range(nv)), rng.choice([LEQ, EQ, GEQ]), F(rng.randint(-4, 4)))
+        for _ in range(rng.randint(0, 5))
+    ]
+    if rng.random() < 0.4:
+        eq_rows = [row for row in rows if row[1] == EQ]
+        if not eq_rows:
+            eq_rows = [(tuple(_coeff(rng) for _ in range(nv)), EQ, F(rng.randint(-4, 4)))]
+            rows += eq_rows
+        coeffs, _, rhs = rng.choice(eq_rows)
+        k = F(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+        rows.insert(rng.randrange(len(rows) + 1), (tuple(k * c for c in coeffs), EQ, k * rhs))
+    if rng.random() < 0.5:
+        rows.append((tuple(F(1) for _ in range(nv)), LEQ, F(rng.randint(0, 6))))
+    return LinearProgram(
+        tuple(_coeff(rng) for _ in range(nv)),
+        tuple(rows),
+        tuple(rng.random() < 0.75 for _ in range(nv)),
+    )
+
+
+class TestIntegerTableau:
+    """`solve` pivots along the same Bland path as the `Fraction` tableau."""
+
+    def _assert_same(self, monkeypatch, programs):
+        pivots = Counter()
+        original = lp_module._pivot
+
+        def counting(*args):
+            pivots["calls"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(lp_module, "_pivot", counting)
+        seen = Counter()
+        for prog in programs:
+            ref, stats = fraction_simplex(prog)
+            pivots.clear()
+            out = solve(prog)
+            assert (out.status, out.value, out.solution) == (ref.status, ref.value, ref.solution)
+            assert pivots["calls"] == stats["pivots"]
+            seen[ref.status] += 1
+            seen["negative rhs"] += any(rhs < 0 for _, _, rhs in prog.constraints)
+            seen["= row"] += any(cmp == EQ for _, cmp, _ in prog.constraints)
+            seen["free variable"] += not all(prog.nonneg)
+            seen["redundant row dropped"] += stats["dropped_rows"] > 0
+            seen["negative pivot"] += stats["negative_pivots"] > 0
+        return seen
+
+    def test_random_programs(self, monkeypatch):
+        rng = random.Random(2024)
+        seen = self._assert_same(monkeypatch, [_random_program(rng) for _ in range(600)])
+        for case in (OPTIMAL, INFEASIBLE, UNBOUNDED, "negative rhs", "= row",
+                     "free variable", "redundant row dropped", "negative pivot"):
+            assert seen[case] > 0, case
+
+    def test_oracle_programs(self, monkeypatch):
+        programs = []
+        real_solve = lp_module.solve
+
+        def recording(prog):
+            programs.append(prog)
+            return real_solve(prog)
+
+        monkeypatch.setattr(lp_module, "solve", recording)
+        rng = random.Random(17)
+        for k in range(12):
+            r = Restriction.full(random_game(rng, 3 if k % 4 == 0 else 2))
+            for i, s in r.strategies():
+                pool = [t for t in r.kept[i] if t != s]
+                if pool:
+                    max_min_advantage(r, i, s, pool)
+                best_response_feasible(r, i, s, BeliefMode.CORRELATED)
+        monkeypatch.undo()
+        seen = self._assert_same(monkeypatch, programs)
+        assert seen[OPTIMAL] > 0 and seen[INFEASIBLE] > 0
 
 
 class TestMaxMinAdvantage:
