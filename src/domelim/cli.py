@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse/usage error, 3 unsupported configuration,
-4 property violation or order dependence, 5 budget overflow.
+Exit codes: 0 success, 2 parse/usage error, 3 unsupported configuration
+or any other engine error (an assumption violated, a certificate that
+fails re-verification, a degenerate dominator), 4 property violation or
+order dependence, 5 budget overflow.  Every error prints one `error:` line
+on stderr; none ends in a traceback.
 """
 
 from __future__ import annotations
@@ -13,11 +16,7 @@ from typing import Optional, Sequence
 
 from .ars import newman_experiment
 from .dominance import Relation, parse_relation
-from .errors import (
-    GameParseError,
-    StructuralError,
-    UnsupportedConfiguration,
-)
+from .errors import DomelimError, StructuralError
 from .game import BeliefMode, Game, Restriction, restriction_leq
 from .gamefile import parse_game
 from .generate import random_game
@@ -249,15 +248,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "ars":
             return _cmd_ars(args)
         raise StructuralError(f"unknown command {args.command!r}")
-    except GameParseError as exc:
+    except StructuralError as exc:  # game file parse errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnsupportedConfiguration as exc:
+    except DomelimError as exc:  # UnsupportedConfiguration and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entrypoint() -> None:

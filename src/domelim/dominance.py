@@ -210,15 +210,10 @@ Certificate = Union[
 
 def strictly_dominates_pure(r: Restriction, i: int, s_dom: int, s: int) -> bool:
     """p_i(s_dom, .) > p_i(s, .) on every opponent joint of R."""
-    g = r.game
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
-    if not 0 <= s_dom < g.sizes[i]:
-        raise StructuralError(f"dominator index {s_dom} out of range")
-    return all(
-        g.payoff(i, r.full_joint(i, s_dom, opp)) > g.payoff(i, r.full_joint(i, s, opp))
-        for opp in r.opponent_joints(i)
-    )
+    dom, mine = r.payoff_rows(i, [s_dom, s])
+    return _above(dom, mine)
 
 
 def weakly_dominates_pure(
@@ -230,25 +225,33 @@ def weakly_dominates_pure(
 ) -> bool:
     """>= on all of `opp_subset` with > somewhere in it.
 
-    `opp_subset` is a set of opponent joints, not necessarily a product.
+    `opp_subset` is a set of opponent joints of R, not necessarily a product.
     """
     if not opp_subset:
         raise StructuralError("empty opponent subset")
-    g = r.game
     if not (r.contains(i, s) and r.contains(i, s_dom)):
         raise StructuralError("both strategies must be in the restriction")
+    dom, mine = r.payoff_rows(i, [s_dom, s])
+    return _weakly_above(dom, mine, r.opponent_positions(i, opp_subset))
+
+
+def _above(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
+    """a > b entrywise."""
+    return all(x > y for x, y in zip(a, b))
+
+
+def _weakly_above(a: Sequence[Fraction], b: Sequence[Fraction], ks: Sequence[int]) -> bool:
+    """a >= b at every position in `ks`, and a > b at one of them."""
     strict = False
-    for opp in opp_subset:
-        a = g.payoff(i, r.full_joint(i, s_dom, opp))
-        b = g.payoff(i, r.full_joint(i, s, opp))
-        if a < b:
+    for k in ks:
+        if a[k] < b[k]:
             return False
-        if a > b:
+        if a[k] > b[k]:
             strict = True
     return strict
 
 
-def _nonempty_subsets(items: tuple) -> list[tuple]:
+def _nonempty_subsets(items: Sequence) -> list[tuple]:
     """All nonempty subsets, bitmask odometer order (low bit = first item)."""
     out = []
     for mask in range(1, 1 << len(items)):
@@ -271,10 +274,11 @@ def is_inherently_dominated(
     # Quick refutation: a singleton subset needs a strictly better rival.
     if pure_best_response(r, i, s, rivals) is not None:
         return False, None
+    mine, *rows = r.payoff_rows(i, [s] + rivals)
     found: list[tuple[tuple[tuple[int, ...], ...], int]] = []
-    for subset in _nonempty_subsets(opps):
+    for subset, ks in zip(_nonempty_subsets(opps), _nonempty_subsets(range(len(opps)))):
         dom = next(
-            (t for t in rivals if weakly_dominates_pure(r, i, t, s, subset)), None
+            (t for t, row in zip(rivals, rows) if _weakly_above(row, mine, ks)), None
         )
         if dom is None:
             return False, None
@@ -294,7 +298,10 @@ def is_dominated(rel: Relation, r: Restriction, i: int, s: int) -> Optional[Cert
     """
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
-    return dict(_dominated_entries(rel, r)).get((i, s))
+    for key, cert in _dominated_entries(rel, r):
+        if key == (i, s):
+            return cert
+    return None
 
 
 def _is_dominated_raw(
@@ -303,8 +310,9 @@ def _is_dominated_raw(
     g = r.game
     if isinstance(rel, StrictPure) or isinstance(rel, GlobalStrictPure):
         pool = range(g.sizes[i]) if isinstance(rel, GlobalStrictPure) else r.kept[i]
-        for t in pool:
-            if t != s and strictly_dominates_pure(r, i, t, s):
+        mine, *rows = r.payoff_rows(i, [s, *pool])
+        for t, row in zip(pool, rows):
+            if t != s and _above(row, mine):
                 return PureDominator(t)
         return None
     if isinstance(rel, StrictMixed) or isinstance(rel, GlobalStrictMixed):
@@ -332,16 +340,12 @@ def _is_dominated_raw(
         if witness is not None:
             return None
         if rel.mode is BeliefMode.PURE:
-            better = []
-            for opp in r.opponent_joints(i):
-                mine = g.payoff(i, r.full_joint(i, s, opp))
-                t = next(
-                    t
-                    for t in pool
-                    if g.payoff(i, r.full_joint(i, t, opp)) > mine
-                )
-                better.append((opp, t))
-            return NeverBest(rel.mode, global_pool, tuple(better))
+            mine, *rows = r.payoff_rows(i, [s, *pool])
+            better = tuple(
+                (opp, next(t for t, row in zip(pool, rows) if row[k] > mine[k]))
+                for k, opp in enumerate(r.opponent_joints(i))
+            )
+            return NeverBest(rel.mode, global_pool, better)
         return NeverBest(rel.mode, global_pool)
     if isinstance(rel, Inherent):
         ok, ev = is_inherently_dominated(r, i, s)
@@ -361,6 +365,12 @@ def _is_dominated_raw(
 def _dominated_entries(
     rel: Relation, r: Restriction
 ) -> tuple[tuple[tuple[int, int], Certificate], ...]:
+    """The memo: (strategy, certificate) pairs in canonical order.
+
+    Pairs, not a dict: dominated sets are a few entries long, and a dict per
+    memoized restriction costs about a tenth more peak memory on a full
+    order search.
+    """
     out = []
     for i, s in r.strategies():
         cert = _is_dominated_raw(rel, r, i, s)
@@ -389,10 +399,6 @@ def dominated_set(
                     f"player {i} has no {relation_name(rel)}-undominated strategy"
                 )
     return dict(entries)
-
-
-def clear_caches() -> None:
-    _dominated_entries.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +457,10 @@ def verify_certificate(
 
 def mixed_strictly_dominates(r: Restriction, i: int, m: MixedStrategy, s: int) -> bool:
     """Exact check that mixture `m` beats `s` on every opponent joint of R."""
-    g = r.game
-    for opp in r.opponent_joints(i):
-        value = sum(
-            (w * g.payoff(i, r.full_joint(i, t, opp)) for t, w in m.weights), ZERO
-        )
-        if value <= g.payoff(i, r.full_joint(i, s, opp)):
+    mine, *rows = r.payoff_rows(i, [s, *m.support])
+    for k, base in enumerate(mine):
+        value = sum((w * row[k] for (_, w), row in zip(m.weights, rows)), ZERO)
+        if value <= base:
             return False
     return True
 

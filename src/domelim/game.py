@@ -7,12 +7,23 @@ sequence).  Labels matter only for I/O.
 
 The single canonical enumeration order everywhere is odometer order: the
 last index varies fastest.
+
+Hot paths read payoffs through one kernel, `Restriction.payoff_rows`: for
+player i and some strategies of G_i, each strategy's payoffs over the
+restriction's opponent joints, in odometer order.  It indexes per-player
+flat payoff tuples by odometer strides, which a `Game` builds on first use
+(not at construction, so generating a corpus stays cheap), and validates
+its arguments once per call.  `Game.payoff` stays the validating accessor
+for single reads.  A `Game` compares by content and hashes its content
+once, so restrictions of one game are cheap memo keys and equal games read
+from separate files still share memo entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -64,13 +75,36 @@ class Game:
         if any(not isinstance(p, Fraction) for p in self.payoffs):
             raise StructuralError("payoffs must be Fractions")
 
+    def __hash__(self) -> int:
+        # Content hash, computed on first use: rehashing every Fraction
+        # payoff on each memo lookup would dominate the order search.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.labels, self.payoffs))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(names) for names in self.labels)
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Odometer strides: joint offset = sum of index * stride."""
+        out = [1] * self.n
+        for j in range(self.n - 1, 0, -1):
+            out[j - 1] = out[j] * self.sizes[j]
+        return tuple(out)
+
+    @cached_property
+    def player_payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Per player, the payoffs of every joint at its odometer offset."""
+        return tuple(self.payoffs[i :: self.n] for i in range(self.n))
 
     @property
     def num_joints(self) -> int:
@@ -172,6 +206,34 @@ class Restriction:
         if len(opp) != self.n - 1:
             raise StructuralError("opponent joint has wrong arity")
         return tuple(opp[:i]) + (s,) + tuple(opp[i:])
+
+    def payoff_rows(self, i: int, strategies: Sequence[int]) -> list[list[Fraction]]:
+        """Player i's payoffs for each of `strategies` (any of G_i) over
+        `opponent_joints(i)`, in that odometer order."""
+        g = self.game
+        if not 0 <= i < len(self.kept):
+            raise StructuralError(f"player index {i} out of range")
+        size = g.sizes[i]
+        for t in strategies:
+            if not 0 <= t < size:
+                raise StructuralError(f"strategy index {t} out of range")
+        strides = g.strides
+        offsets = [0]
+        for j, ks in enumerate(self.kept):
+            if j != i:
+                step = strides[j]
+                offsets = [o + s * step for o in offsets for s in ks]
+        flat = g.player_payoffs[i]
+        step = strides[i]
+        return [[flat[t * step + o] for o in offsets] for t in strategies]
+
+    def opponent_positions(self, i: int, opps: Iterable[Sequence[int]]) -> list[int]:
+        """Position of each opponent joint in `opponent_joints(i)`."""
+        index = {opp: k for k, opp in enumerate(self.opponent_joints(i))}
+        try:
+            return [index[tuple(opp)] for opp in opps]
+        except (KeyError, TypeError):
+            raise StructuralError("opponent joint outside the restriction")
 
 
 def restriction_leq(r1: Restriction, r2: Restriction) -> bool:
@@ -280,30 +342,26 @@ def expected_payoff(g: Game, i: int, s_i: int, belief: Belief) -> Fraction:
     """Exact expected payoff of playing `s_i` against `belief`."""
     if belief.player != i:
         raise StructuralError("belief belongs to a different player")
-    if not 0 <= s_i < g.sizes[i]:
-        raise StructuralError(f"strategy index {s_i} out of range")
-    full = Restriction.full(g)
     if isinstance(belief, JointPureBelief):
-        return g.payoff(i, full.full_joint(i, s_i, belief.opponents))
-    if isinstance(belief, CorrelatedBelief):
-        total = ZERO
-        for opp, p in belief.probs:
-            total += p * g.payoff(i, full.full_joint(i, s_i, opp))
-        return total
-    if isinstance(belief, MixedProfileBelief):
+        weighted = [(ONE, belief.opponents)]
+    elif isinstance(belief, CorrelatedBelief):
+        weighted = [(p, opp) for opp, p in belief.probs]
+    elif isinstance(belief, MixedProfileBelief):
         if len(belief.profile) != g.n - 1:
             raise StructuralError("profile has wrong arity")
         opponents = [j for j in range(g.n) if j != i]
         for m, j in zip(belief.profile, opponents):
             if m.player != j:
                 raise StructuralError("profile components out of order")
-        total = ZERO
+        weighted = []
         for combo in product(*(m.weights for m in belief.profile)):
             prob = ONE
-            opp = []
-            for s, w in combo:
+            for _, w in combo:
                 prob *= w
-                opp.append(s)
-            total += prob * g.payoff(i, full.full_joint(i, s_i, opp))
-        return total
-    raise StructuralError(f"not a belief: {type(belief).__name__}")
+            weighted.append((prob, tuple(s for s, _ in combo)))
+    else:
+        raise StructuralError(f"not a belief: {type(belief).__name__}")
+    full = Restriction.full(g)
+    (row,) = full.payoff_rows(i, [s_i])
+    ks = full.opponent_positions(i, (opp for _, opp in weighted))
+    return sum((p * row[k] for (p, _), k in zip(weighted, ks)), ZERO)

@@ -279,16 +279,11 @@ def max_min_advantage(
         raise StructuralError("empty dominator pool")
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
-    g = r.game
-    for t in pool:
-        if not 0 <= t < g.sizes[i]:
-            raise StructuralError(f"pool strategy {t} out of range")
-    opps = r.opponent_joints(i)
+    mine, *rows = r.payoff_rows(i, [s] + pool)
     eps_col = len(pool)  # weights first, then the margin variable
     constraints = []
-    for opp in opps:
-        base = g.payoff(i, r.full_joint(i, s, opp))
-        row = [g.payoff(i, r.full_joint(i, t, opp)) - base for t in pool]
+    for k, base in enumerate(mine):
+        row = [t_row[k] - base for t_row in rows]
         row.append(-ONE)
         constraints.append((tuple(row), GEQ, ZERO))
     constraints.append((tuple([ONE] * len(pool) + [ZERO]), EQ, ONE))
@@ -309,11 +304,10 @@ def pure_best_response(
     Such a joint is a pure belief against which `s` is a best response, so
     no mixture of `pool` strictly dominates `s` in R.
     """
-    g = r.game
-    for opp in r.opponent_joints(i):
-        mine = g.payoff(i, r.full_joint(i, s, opp))
-        if all(g.payoff(i, r.full_joint(i, t, opp)) <= mine for t in pool):
-            return opp
+    mine, *rows = r.payoff_rows(i, [s, *pool])
+    for k, m in enumerate(mine):
+        if all(row[k] <= m for row in rows):
+            return r.opponent_joints(i)[k]
     return None
 
 
@@ -332,7 +326,6 @@ def best_response_feasible(
     """
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
-    g = r.game
     pool = list(compare) if compare is not None else list(r.kept[i])
     if mode is BeliefMode.MIXED_INDEPENDENT and r.n > 2:
         raise UnsupportedConfiguration(
@@ -345,14 +338,8 @@ def best_response_feasible(
     # Correlated case; with two players the independent case coincides.
     opps = r.opponent_joints(i)
     nv = len(opps)
-    constraints = []
-    for t in pool:
-        row = tuple(
-            g.payoff(i, r.full_joint(i, s, opp))
-            - g.payoff(i, r.full_joint(i, t, opp))
-            for opp in opps
-        )
-        constraints.append((row, GEQ, ZERO))
+    mine, *rows = r.payoff_rows(i, [s] + pool)
+    constraints = [(tuple(m - x for m, x in zip(mine, row)), GEQ, ZERO) for row in rows]
     constraints.append((tuple([ONE] * nv), EQ, ONE))
     lp = LinearProgram(
         tuple([ZERO] * nv), tuple(constraints), tuple([True] * nv)

@@ -18,6 +18,7 @@ from .dominance import (
     NeverBest,
     PureDominator,
     Relation,
+    dominated_set,
     parse_relation,
     relation_belief_mode,
     relation_name,
@@ -169,7 +170,11 @@ def dump_trace(trace: Trace) -> str:
 
 
 def verify_trace_document(doc: dict, g: Game) -> None:
-    """Replay a trace document against a game; raises on any defect."""
+    """Replay a trace document against a game; raises on any defect.
+
+    The replayed outcome must be irreducible, so a trace with steps cut
+    off its end is rejected.
+    """
     mode = BeliefMode(doc["belief_mode"]) if "belief_mode" in doc else BeliefMode.PURE
     rel: Relation = parse_relation(doc["relation"], mode)
     if doc["initial"]["labels"] != [list(names) for names in g.labels]:
@@ -191,3 +196,5 @@ def verify_trace_document(doc: dict, g: Game) -> None:
     kept = [[_label(g, i, s) for s in ks] for i, ks in enumerate(r.kept)]
     if kept != doc["outcome"]["kept"]:
         raise InvalidCertificate("trace outcome does not match the replayed steps")
+    if dominated_set(rel, r, validate=False):
+        raise InvalidCertificate("trace outcome is not irreducible: steps are missing")

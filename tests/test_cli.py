@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from domelim import reduction
 from domelim.cli import main
+from domelim.errors import AssumptionViolated
 from domelim.fixtures import G_BELIEF, G_MIX, G_PD
 from domelim.gamefile import write_game
 from domelim.tracedoc import verify_trace_document
@@ -79,6 +81,17 @@ class TestReduce:
         path.write_text(THREE_PLAYER)
         code = main(["reduce", str(path), "--relation", "nbr", "--beliefs", "mixed"])
         assert code == 3
+
+    def test_other_engine_error_exits_3(self, pd_file, monkeypatch, capsys):
+        def violated(rel, r, validate=True):
+            raise AssumptionViolated("player 1 has no strict-pure-undominated strategy")
+
+        monkeypatch.setattr(reduction, "dominated_set", violated)
+        code = main(["reduce", pd_file, "--relation", "strict-pure"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: player 1 has no strict-pure-undominated strategy\n"
+        assert captured.out == ""
 
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.game"

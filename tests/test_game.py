@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from domelim import dominance
 from domelim.errors import StructuralError
 from domelim.game import (
     CorrelatedBelief,
@@ -36,6 +37,46 @@ class TestGameConstruction:
     def test_rejects_floats(self):
         with pytest.raises(StructuralError):
             Game.from_table([["a"], ["x"]], [(0.5, 0)])
+
+    def test_error_messages(self):
+        cases = [
+            ((("a",),), (F(0),), "at least 2 players required"),
+            ((("a",), ()), (), "player 1 has no strategies"),
+            ((("a", "a"), ("x",)), (F(0),) * 4, "player 0 has duplicate strategy labels"),
+            ((("a", "b"), ("x",)), (F(0),) * 2, "payoff tensor has 2 entries, expected 4"),
+            ((("a",), ("x",)), (F(0), 0), "payoffs must be Fractions"),
+        ]
+        for labels, payoffs, message in cases:
+            with pytest.raises(StructuralError) as exc:
+                Game(labels, payoffs)
+            assert str(exc.value) == message
+
+    def test_payoff_tables_built_on_first_use(self):
+        g = random_game(random.Random(5), 3)
+        assert "player_payoffs" not in vars(g)
+        Restriction.full(g).payoff_rows(0, [0])
+        assert "player_payoffs" in vars(g)
+
+
+class TestGameIdentity:
+    def test_equal_games_hash_equal_and_share_a_memo_entry(self, g_pd):
+        g1 = Game.from_table(g_pd.labels, [g_pd.payoffs[k : k + 2] for k in range(0, 8, 2)])
+        g2 = Game.from_table(g_pd.labels, [g_pd.payoffs[k : k + 2] for k in range(0, 8, 2)])
+        assert g1 is not g2
+        assert g1 == g2 and hash(g1) == hash(g2)
+        assert hash(g1) == hash(g1)
+        rel = dominance.StrictPure()
+        entries = dominance._dominated_entries(rel, Restriction.full(g1))
+        assert entries  # a fresh tuple, so `is` below means one memo entry
+        assert dominance._dominated_entries(rel, Restriction.full(g2)) is entries
+
+    def test_one_payoff_apart_compares_unequal(self):
+        g1 = random_game(random.Random(7), 2)
+        changed = list(g1.payoffs)
+        changed[-1] += 1
+        g2 = Game(g1.labels, tuple(changed))
+        assert g1 != g2
+        assert Restriction.full(g1) != Restriction.full(g2)
 
 
 class TestPayoffPure:
@@ -171,6 +212,43 @@ class TestOpponentJoints:
         joints = r.opponent_joints(0)
         assert len(joints) == 6
         assert joints == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+
+
+class TestPayoffRows:
+    def test_rows_match_payoff_on_random_restrictions(self):
+        rng = random.Random(8)
+        for k in range(40):
+            g = random_game(rng, 2 if k % 2 else 3)
+            kept = []
+            for size in g.sizes:
+                chosen = tuple(s for s in range(size) if rng.random() < 0.5)
+                kept.append(chosen or (rng.randrange(size),))
+            r = Restriction(g, tuple(kept))
+            for i in range(g.n):
+                strategies = list(range(g.sizes[i]))  # G_i, not only R_i
+                rng.shuffle(strategies)
+                rows = r.payoff_rows(i, strategies)
+                assert len(rows) == len(strategies)
+                for t, row in zip(strategies, rows):
+                    assert row == [
+                        g.payoff(i, r.full_joint(i, t, opp)) for opp in r.opponent_joints(i)
+                    ]
+
+    def test_rows_reject_bad_indices(self, r_pd):
+        with pytest.raises(StructuralError):
+            r_pd.payoff_rows(2, [0])
+        with pytest.raises(StructuralError):
+            r_pd.payoff_rows(0, [0, 2])
+        with pytest.raises(StructuralError):
+            r_pd.payoff_rows(0, [-1])
+
+    def test_opponent_positions(self, g_pd):
+        r = Restriction(g_pd, ((0, 1), (1,)))
+        assert r.opponent_positions(0, [(1,)]) == [0]
+        with pytest.raises(StructuralError):
+            r.opponent_positions(0, [(0,)])
+        with pytest.raises(StructuralError):
+            r.opponent_positions(0, [(1, 1)])
 
 
 class TestMixedStrategy:

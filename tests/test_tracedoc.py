@@ -82,6 +82,13 @@ class TestTraceDocuments:
         with pytest.raises(InvalidCertificate):
             verify_trace_document(doc, G_PD)
 
+    def test_truncated_trace_rejected(self):
+        doc = trace_to_document(normal_form(StrictPure(), G_PD, FullSpeed()))
+        doc["steps"] = []
+        doc["outcome"]["kept"] = [["C", "D"], ["C", "D"]]
+        with pytest.raises(InvalidCertificate):
+            verify_trace_document(doc, G_PD)
+
     def test_wrong_game_rejected(self):
         doc = trace_to_document(normal_form(StrictPure(), G_PD, FullSpeed()))
         with pytest.raises(InvalidCertificate):
