@@ -34,6 +34,7 @@ from .game import (
     ZERO,
     BeliefMode,
     MixedStrategy,
+    Payoff,
     Restriction,
 )
 from .lp import best_response_feasible, max_min_advantage, pure_best_response
@@ -235,12 +236,12 @@ def weakly_dominates_pure(
     return _weakly_above(dom, mine, r.opponent_positions(i, opp_subset))
 
 
-def _above(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
+def _above(a: Sequence[Payoff], b: Sequence[Payoff]) -> bool:
     """a > b entrywise."""
     return all(x > y for x, y in zip(a, b))
 
 
-def _weakly_above(a: Sequence[Fraction], b: Sequence[Fraction], ks: Sequence[int]) -> bool:
+def _weakly_above(a: Sequence[Payoff], b: Sequence[Payoff], ks: Sequence[int]) -> bool:
     """a >= b at every position in `ks`, and a > b at one of them."""
     strict = False
     for k in ks:
@@ -350,14 +351,6 @@ def _is_dominated_raw(
     if isinstance(rel, Inherent):
         ok, ev = is_inherently_dominated(r, i, s)
         return ev if ok else None
-    if isinstance(rel, Intersection):
-        certs = []
-        for part in rel.parts:
-            c = is_dominated(part, r, i, s)
-            if c is None:
-                return None
-            certs.append(c)
-        return IntersectionEvidence(tuple(certs))
     raise StructuralError(f"not a relation: {type(rel).__name__}")
 
 
@@ -369,8 +362,24 @@ def _dominated_entries(
 
     Pairs, not a dict: dominated sets are a few entries long, and a dict per
     memoized restriction costs about a tenth more peak memory on a full
-    order search.
+    order search.  An intersection keeps the keys every part dominates,
+    reading each part's entries once.  Parts are read in order and the scan
+    stops once no key is left, so a part is evaluated exactly when some
+    strategy is dominated under every earlier part.
     """
+    if isinstance(rel, Intersection):
+        parts = [dict(_dominated_entries(rel.parts[0], r))]
+        keys = list(parts[0])
+        for part in rel.parts[1:]:
+            if not keys:
+                return ()
+            certs = dict(_dominated_entries(part, r))
+            keys = [key for key in keys if key in certs]
+            parts.append(certs)
+        return tuple(
+            (key, IntersectionEvidence(tuple(certs[key] for certs in parts)))
+            for key in keys
+        )
     out = []
     for i, s in r.strategies():
         cert = _is_dominated_raw(rel, r, i, s)

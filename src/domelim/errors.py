@@ -22,8 +22,9 @@ class UnsupportedConfiguration(DomelimError):
     """A configuration the engine deliberately refuses.
 
     Raised for independent-mixed beliefs with three or more players (the
-    check is non-convex and no exact procedure exists) and for inherent
-    dominance past the opponent-joint cap.
+    check is non-convex and no exact procedure exists), for inherent
+    dominance past the opponent-joint cap, and for a reachable set larger
+    than the search budget.
     """
 
 

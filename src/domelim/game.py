@@ -17,6 +17,13 @@ its arguments once per call.  `Game.payoff` stays the validating accessor
 for single reads.  A `Game` compares by content and hashes its content
 once, so restrictions of one game are cheap memo keys and equal games read
 from separate files still share memo entries.
+
+The kernel's tables hold a whole payoff as its `int` and any other as its
+`Fraction`.  An `int` compares, hashes and adds exactly like the equal
+`Fraction`, so no decision changes, and the dominance scans compare plain
+integers instead of going through `Fraction`'s rich comparison.  `Game`
+itself keeps `Fraction`s, and the LP builders convert the rows they read
+back to `Fraction` coefficients.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ from .errors import StructuralError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# A payoff as the kernel holds it: a whole value as its `int`.
+Payoff = Union[int, Fraction]
 
 
 class BeliefMode(Enum):
@@ -102,9 +112,14 @@ class Game:
         return tuple(out)
 
     @cached_property
-    def player_payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Per player, the payoffs of every joint at its odometer offset."""
-        return tuple(self.payoffs[i :: self.n] for i in range(self.n))
+    def player_payoffs(self) -> tuple[tuple[Payoff, ...], ...]:
+        """Per player, the payoffs of every joint at its odometer offset;
+        a whole payoff is stored as its `int`."""
+        n = self.n
+        return tuple(
+            tuple(x.numerator if x.denominator == 1 else x for x in self.payoffs[i::n])
+            for i in range(n)
+        )
 
     @property
     def num_joints(self) -> int:
@@ -201,13 +216,27 @@ class Restriction:
         pools = [self.kept[j] for j in range(self.n) if j != i]
         return tuple(product(*pools))
 
+    def opponent_joint(self, i: int, k: int) -> tuple[int, ...]:
+        """`opponent_joints(i)[k]`, without building the product."""
+        if not 0 <= i < self.n:
+            raise StructuralError(f"player index {i} out of range")
+        out = []
+        for j in range(self.n - 1, -1, -1):
+            if j != i:
+                ks = self.kept[j]
+                k, pos = divmod(k, len(ks))
+                out.append(ks[pos])
+        if k != 0:
+            raise StructuralError("opponent joint index out of range")
+        return tuple(reversed(out))
+
     def full_joint(self, i: int, s: int, opp: Sequence[int]) -> tuple[int, ...]:
         """Insert player `i`'s strategy into an opponent joint."""
         if len(opp) != self.n - 1:
             raise StructuralError("opponent joint has wrong arity")
         return tuple(opp[:i]) + (s,) + tuple(opp[i:])
 
-    def payoff_rows(self, i: int, strategies: Sequence[int]) -> list[list[Fraction]]:
+    def payoff_rows(self, i: int, strategies: Sequence[int]) -> list[list[Payoff]]:
         """Player i's payoffs for each of `strategies` (any of G_i) over
         `opponent_joints(i)`, in that odometer order."""
         g = self.game

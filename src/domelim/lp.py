@@ -283,7 +283,7 @@ def max_min_advantage(
     eps_col = len(pool)  # weights first, then the margin variable
     constraints = []
     for k, base in enumerate(mine):
-        row = [t_row[k] - base for t_row in rows]
+        row = [Fraction(t_row[k] - base) for t_row in rows]
         row.append(-ONE)
         constraints.append((tuple(row), GEQ, ZERO))
     constraints.append((tuple([ONE] * len(pool) + [ZERO]), EQ, ONE))
@@ -307,7 +307,7 @@ def pure_best_response(
     mine, *rows = r.payoff_rows(i, [s, *pool])
     for k, m in enumerate(mine):
         if all(row[k] <= m for row in rows):
-            return r.opponent_joints(i)[k]
+            return r.opponent_joint(i, k)
     return None
 
 
@@ -339,7 +339,9 @@ def best_response_feasible(
     opps = r.opponent_joints(i)
     nv = len(opps)
     mine, *rows = r.payoff_rows(i, [s] + pool)
-    constraints = [(tuple(m - x for m, x in zip(mine, row)), GEQ, ZERO) for row in rows]
+    constraints = [
+        (tuple(Fraction(m - x) for m, x in zip(mine, row)), GEQ, ZERO) for row in rows
+    ]
     constraints.append((tuple([ONE] * nv), EQ, ONE))
     lp = LinearProgram(
         tuple([ZERO] * nv), tuple(constraints), tuple([True] * nv)

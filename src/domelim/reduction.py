@@ -10,13 +10,22 @@ the current restriction.  Policies fix which step to take:
 
 `all_outcomes` explores the AllSubsets graph memoized on restrictions;
 order independence of a relation on a game is exactly this set being a
-singleton.
+singleton.  The walk tests each child's kept tuple against a seen-set of
+kept tuples and builds a `Restriction` (through its validating
+constructor) only for an unseen child.  Children are visited in bitmask
+order over the sorted dominated keys, as `successors(AllSubsets)` lists
+them.  A budget caps the restrictions admitted: once it is reached,
+unseen children are dropped and the search reports `complete=False`, the
+same partial outcome set and the same `explored` count as a search that
+built every child.  `reachable_restrictions` walks the same graph and
+raises instead of returning a partial set.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional, Union
 
 from .dominance import (
@@ -24,8 +33,9 @@ from .dominance import (
     Relation,
     dominated_set,
     is_dominated,
+    relation_name,
 )
-from .errors import StructuralError
+from .errors import StructuralError, UnsupportedConfiguration
 from .game import Game, Restriction, restriction_leq
 
 DEFAULT_BUDGET = 100_000
@@ -142,14 +152,42 @@ class OutcomeSearch:
     explored: int
 
 
-def all_outcomes(rel: Relation, g: Game, budget: int = DEFAULT_BUDGET) -> OutcomeSearch:
-    """All reachable irreducible restrictions, memoized on restrictions.
+def _child_kepts(
+    r: Restriction, keys: list[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Kept tuples of `r.remove(subset)` for every nonempty subset of the
+    sorted `keys`, in bitmask order (low bit = first key).
 
-    Exceeding the budget returns the partial outcome set with
-    `complete=False`; it never truncates silently.
+    Sorted keys group each player's bits together, lowest player lowest, so
+    bitmask order is an odometer over per-player choices with player 0
+    varying fastest.
+    """
+    options = []
+    for i, ks in enumerate(r.kept):
+        # sub[m] is ks less player i's keys at the set bits of m.
+        sub = [ks]
+        for j, t in keys:
+            if j == i:
+                sub += [tuple(s for s in kept if s != t) for kept in sub]
+        options.append(sub)
+    combos = product(*reversed(options))
+    next(combos)  # the empty subset: r itself
+    for combo in combos:
+        yield combo[::-1]
+
+
+def _search(
+    rel: Relation, g: Game, budget: int
+) -> tuple[dict[tuple[tuple[int, ...], ...], Restriction], set[Restriction], bool]:
+    """Depth-first walk of the AllSubsets graph from the full game.
+
+    Returns the admitted restrictions by kept tuple, the irreducible ones
+    among them, and whether every reachable restriction was admitted.  A
+    child is admitted while fewer than `budget` restrictions are; past
+    that, unseen children are dropped and the walk is incomplete.
     """
     start = Restriction.full(g)
-    seen: set[Restriction] = {start}
+    seen = {start.kept: start}
     outcomes: set[Restriction] = set()
     stack = [start]
     complete = True
@@ -159,35 +197,40 @@ def all_outcomes(rel: Relation, g: Game, budget: int = DEFAULT_BUDGET) -> Outcom
         if not dom:
             outcomes.add(r)
             continue
-        keys = sorted(dom)
-        for mask in range(1, 1 << len(keys)):
-            child = r.remove(k for j, k in enumerate(keys) if mask >> j & 1)
-            if child not in seen:
+        for kept in _child_kepts(r, sorted(dom)):
+            if kept not in seen:
                 if len(seen) >= budget:
                     complete = False
                     continue
-                seen.add(child)
+                child = Restriction(g, kept)
+                seen[kept] = child
                 stack.append(child)
+    return seen, outcomes, complete
+
+
+def all_outcomes(rel: Relation, g: Game, budget: int = DEFAULT_BUDGET) -> OutcomeSearch:
+    """All reachable irreducible restrictions, memoized on restrictions.
+
+    Exceeding the budget returns the partial outcome set with
+    `complete=False`; it never truncates silently.
+    """
+    seen, outcomes, complete = _search(rel, g, budget)
     return OutcomeSearch(frozenset(outcomes), complete, len(seen))
 
 
 def reachable_restrictions(
     rel: Relation, g: Game, budget: int = DEFAULT_BUDGET
 ) -> set[Restriction]:
-    """Every restriction reachable from the full game, itself included."""
-    start = Restriction.full(g)
-    seen = {start}
-    stack = [start]
-    while stack:
-        r = stack.pop()
-        dom = dominated_set(rel, r)
-        keys = sorted(dom)
-        for mask in range(1, 1 << len(keys)):
-            child = r.remove(k for j, k in enumerate(keys) if mask >> j & 1)
-            if child not in seen and len(seen) < budget:
-                seen.add(child)
-                stack.append(child)
-    return seen
+    """Every restriction reachable from the full game, itself included.
+
+    Raises UnsupportedConfiguration when more than `budget` are reachable.
+    """
+    seen, _, complete = _search(rel, g, budget)
+    if not complete:
+        raise UnsupportedConfiguration(
+            f"more than {budget} restrictions reachable under {relation_name(rel)}"
+        )
+    return set(seen.values())
 
 
 def reachable_steps(

@@ -6,6 +6,9 @@ of the piecewise-linear objective, and mixed-dominance refutations by
 dense rational grids.  They exist to compute expected values, not to be
 fast.  `fraction_simplex` is the engine's former `Fraction` tableau, kept as
 the reference whose pivot path the integer tableau in `lp.solve` must follow.
+`all_outcomes_reference` is the engine's former order search, which built a
+`Restriction` for every subset mask; the search must admit, in the same
+order, the restrictions it admits under every budget.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from domelim.game import Restriction
+from domelim.dominance import Relation, dominated_set
+from domelim.game import Game, Restriction
 from domelim.lp import (
     EQ,
     GEQ,
@@ -24,6 +28,7 @@ from domelim.lp import (
     LinearProgram,
     LpOutcome,
 )
+from domelim.reduction import DEFAULT_BUDGET, OutcomeSearch
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -277,3 +282,34 @@ def fraction_simplex(lp: LinearProgram) -> tuple[LpOutcome, Counter]:
     for k, (j, sign) in enumerate(cols):
         solution[j] += split[k] * sign
     return LpOutcome(OPTIMAL, obj[-1], tuple(solution)), stats
+
+
+def all_outcomes_reference(
+    rel: Relation, g: Game, budget: int = DEFAULT_BUDGET
+) -> OutcomeSearch:
+    """All reachable irreducible restrictions, memoized on restrictions.
+
+    Exceeding the budget returns the partial outcome set with
+    `complete=False`; it never truncates silently.
+    """
+    start = Restriction.full(g)
+    seen: set[Restriction] = {start}
+    outcomes: set[Restriction] = set()
+    stack = [start]
+    complete = True
+    while stack:
+        r = stack.pop()
+        dom = dominated_set(rel, r)
+        if not dom:
+            outcomes.add(r)
+            continue
+        keys = sorted(dom)
+        for mask in range(1, 1 << len(keys)):
+            child = r.remove(k for j, k in enumerate(keys) if mask >> j & 1)
+            if child not in seen:
+                if len(seen) >= budget:
+                    complete = False
+                    continue
+                seen.add(child)
+                stack.append(child)
+    return OutcomeSearch(frozenset(outcomes), complete, len(seen))

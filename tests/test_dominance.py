@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from domelim.dominance import (
     GlobalStrictPure,
     Inherent,
     Intersection,
+    IntersectionEvidence,
     MixedDominator,
     NeverBest,
     NeverBestResponse,
@@ -36,7 +38,7 @@ from domelim.errors import (
     StructuralError,
     UnsupportedConfiguration,
 )
-from domelim.game import BeliefMode, MixedStrategy, Restriction
+from domelim.game import BeliefMode, Game, MixedStrategy, Restriction
 from domelim.generate import random_game
 from domelim.lp import best_response_feasible, max_min_advantage, pure_best_response
 
@@ -305,6 +307,47 @@ class TestPureWitnessPrefilter:
                     }
                     rel = GlobalNeverBestResponse(mode) if global_pool else NeverBestResponse(mode)
                     assert dominated_set(rel, r, validate=False) == expected
+
+
+class TestIntersectionEntries:
+    """An intersection's dominated set is read off its parts' sets."""
+
+    def test_every_pair_matches_definition(self):
+        partial = full = 0
+        for r in _random_restrictions(43, 24):
+            modes = (PURE, CORR, BeliefMode.MIXED_INDEPENDENT)[: 2 if r.n > 2 else 3]
+            simple = (
+                [StrictPure(), GlobalStrictPure(), StrictMixed(), GlobalStrictMixed()]
+                + [Inherent()]
+                + [NeverBestResponse(m) for m in modes]
+                + [GlobalNeverBestResponse(m) for m in modes]
+            )
+            for pair in combinations(simple, 2):
+                sets = [dominated_set(p, r, validate=False) for p in pair]
+                expected = [
+                    (key, IntersectionEvidence(tuple(d[key] for d in sets)))
+                    for key in r.strategies()
+                    if all(key in d for d in sets)
+                ]
+                rel = Intersection(pair)
+                assert list(dominated_set(rel, r, validate=False).items()) == expected
+                for (i, s), cert in expected:
+                    assert is_dominated(rel, r, i, s) == cert
+                    assert verify_certificate(rel, r, i, s, cert)
+                full += bool(expected)
+                partial += any(len(d) > len(expected) for d in sets)
+        assert full > 0 and partial > 0
+
+    def test_later_part_evaluated_only_after_a_common_key(self):
+        # Independent mixed beliefs on three players raise when evaluated.
+        rel = Intersection((StrictPure(), NeverBestResponse(BeliefMode.MIXED_INDEPENDENT)))
+        labels = [("a", "b")] * 3
+        joints = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
+        flat = Restriction.full(Game.from_table(labels, [(0, 0, 0)] * 8))
+        assert dominated_set(rel, flat) == {}
+        graded = Restriction.full(Game.from_table(labels, [(j[0], 0, 0) for j in joints]))
+        with pytest.raises(UnsupportedConfiguration):
+            dominated_set(rel, graded)
 
 
 class TestRelationNames:

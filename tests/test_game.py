@@ -18,6 +18,7 @@ from domelim.game import (
     expected_payoff,
     restriction_leq,
 )
+from domelim.gamefile import parse_game
 from domelim.generate import random_game
 
 
@@ -212,6 +213,52 @@ class TestOpponentJoints:
         joints = r.opponent_joints(0)
         assert len(joints) == 6
         assert joints == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+
+
+class TestOpponentJoint:
+    def test_matches_product_on_random_restrictions(self):
+        rng = random.Random(9)
+        for k in range(40):
+            g = random_game(rng, 2 if k % 2 else 3)
+            kept = []
+            for size in g.sizes:
+                chosen = tuple(s for s in range(size) if rng.random() < 0.6)
+                kept.append(chosen or (rng.randrange(size),))
+            r = Restriction(g, tuple(kept))
+            for i in range(g.n):
+                joints = r.opponent_joints(i)
+                assert [r.opponent_joint(i, k) for k in range(len(joints))] == list(joints)
+                for bad in (-1, len(joints)):
+                    with pytest.raises(StructuralError):
+                        r.opponent_joint(i, bad)
+        with pytest.raises(StructuralError):
+            r.opponent_joint(g.n, 0)
+
+
+class TestPlayerPayoffs:
+    @staticmethod
+    def assert_tables_exact(g):
+        for i in range(g.n):
+            table = g.player_payoffs[i]
+            assert table == g.payoffs[i :: g.n]
+            for x, exact in zip(table, g.payoffs[i :: g.n]):
+                assert type(x) is (int if exact.denominator == 1 else F)
+
+    def test_ints_exactly_where_whole(self):
+        rng = random.Random(10)
+        for k in range(20):
+            g = random_game(rng, 2 if k % 2 else 3)
+            self.assert_tables_exact(g)
+            assert {type(x) for row in g.player_payoffs for x in row} == {int}
+
+    def test_parsed_fractional_payoffs(self):
+        g = parse_game(
+            "players 2\nlabels 1: U D\nlabels 2: L R\npayoffs\n"
+            "1/2 3\n-4/6 0\n2 7/3\n-1 -5/2\n"
+        )
+        self.assert_tables_exact(g)
+        assert g.player_payoffs == ((F(1, 2), F(-2, 3), 2, -1), (3, 0, F(7, 3), F(-5, 2)))
+        assert {type(x) for row in g.player_payoffs for x in row} == {int, F}
 
 
 class TestPayoffRows:

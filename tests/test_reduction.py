@@ -1,17 +1,23 @@
 """Reduction steps, traces, outcome search, and the step-level checkers."""
 
 import random
+from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
 from domelim.dominance import (
+    GlobalNeverBestResponse,
+    GlobalStrictMixed,
     GlobalStrictPure,
+    Inherent,
+    Intersection,
     NeverBestResponse,
     StrictMixed,
     StrictPure,
 )
-from domelim.errors import StructuralError
-from domelim.game import BeliefMode, Restriction
+from domelim.errors import DomelimError, StructuralError
+from domelim.game import BeliefMode, Game, Restriction
 from domelim.generate import random_game
 from domelim.reduction import (
     AllSubsets,
@@ -23,11 +29,47 @@ from domelim.reduction import (
     check_monotonic_pair,
     check_proof_shape,
     normal_form,
+    reachable_restrictions,
     reachable_steps,
     successors,
 )
 
+from oracles import all_outcomes_reference
+
 PURE = BeliefMode.PURE
+
+
+def simple_relations(players):
+    """The seven relations, with every belief mode decidable on `players`."""
+    modes = [PURE, BeliefMode.CORRELATED]
+    if players == 2:
+        modes.append(BeliefMode.MIXED_INDEPENDENT)
+    return (
+        [StrictPure(), GlobalStrictPure(), StrictMixed(), GlobalStrictMixed(), Inherent()]
+        + [NeverBestResponse(m) for m in modes]
+        + [GlobalNeverBestResponse(m) for m in modes]
+    )
+
+
+def search_games():
+    """Seeded 2- and 3-player games with large AllSubsets graphs.
+
+    Uniform random payoffs rarely dominate anything on three players, so
+    each payoff is twice the player's own strategy index plus noise in
+    [-3, 3]: higher strategies tend to dominate lower ones.  Half of the
+    games take payoffs in steps of 1/2.
+    """
+    rng = random.Random(61)
+    games = []
+    for sizes in [(4, 4), (4, 3), (3, 4), (3, 3, 3), (3, 3, 3)]:
+        for den in (1, 2):
+            labels = tuple(tuple(f"s{k}" for k in range(size)) for size in sizes)
+            rows = [
+                [F(2 * den * s + rng.randint(-3 * den, 3 * den), den) for s in joint]
+                for joint in product(*map(range, sizes))
+            ]
+            games.append(Game.from_table(labels, rows))
+    return games
 
 
 class TestSuccessors:
@@ -117,6 +159,20 @@ class TestAllOutcomes:
         search = all_outcomes(StrictPure(), g_pd, budget=1)
         assert not search.complete
 
+    def test_matches_reference_under_every_budget(self):
+        cut = 0
+        for g in search_games():
+            simple = simple_relations(g.n)
+            rels = simple + [Intersection(pair) for pair in combinations(simple, 2)]
+            for rel in rels:
+                full = all_outcomes(rel, g)
+                assert full == all_outcomes_reference(rel, g)
+                for budget in range(1, full.explored + 1):
+                    got = all_outcomes(rel, g, budget)
+                    assert got == all_outcomes_reference(rel, g, budget), (rel, budget)
+                    cut += not got.complete
+        assert cut > 0  # budgets below the full size do cut some searches off
+
     def test_agrees_with_policy_outcomes(self):
         rng = random.Random(51)
         for _ in range(10):
@@ -125,6 +181,22 @@ class TestAllOutcomes:
             assert len(search.outcomes) == 1
             for policy in (FullSpeed(), SingleLex(), SingleRandom(3)):
                 assert normal_form(StrictPure(), g, policy).outcome in search.outcomes
+
+
+class TestReachableRestrictions:
+    def test_same_walk_as_the_search(self):
+        for g in search_games():
+            for rel in simple_relations(g.n):
+                search = all_outcomes(rel, g)
+                reachable = reachable_restrictions(rel, g, search.explored)
+                assert len(reachable) == search.explored
+                assert Restriction.full(g) in reachable
+                assert search.outcomes <= reachable
+
+    def test_budget_exceeded_raises(self, g_pd):
+        assert all_outcomes(StrictPure(), g_pd).explored == 4
+        with pytest.raises(DomelimError, match="more than 3 restrictions"):
+            reachable_restrictions(StrictPure(), g_pd, budget=3)
 
 
 class TestHereditaryStep:
