@@ -30,9 +30,6 @@ from .lp import (
     solve,
 )
 from .dominance import (
-    GlobalNeverBestResponse,
-    GlobalStrictMixed,
-    GlobalStrictPure,
     Inherent,
     Intersection,
     NeverBestResponse,
@@ -51,7 +48,6 @@ from .dominance import (
     weakly_dominates_pure,
 )
 from .reduction import (
-    AllSubsets,
     FullSpeed,
     OrderPolicy,
     ReductionStep,

@@ -3,14 +3,20 @@
 Each relation maps a restriction R to the set of strategies it dominates
 there, together with a certificate that re-verifies by substitution:
 
-  StrictPure / GlobalStrictPure    pure dominator from R_i / G_i
-  StrictMixed / GlobalStrictMixed  mixed dominator from R_i\\{s} / G_i\\{s}
-  NeverBestResponse(mode)          no belief in R makes s a best response
-  GlobalNeverBestResponse(mode)    comparison pool is G_i instead of R_i
-  Inherent                         weakly dominated on every nonempty
-                                   subset of opponent joints
-  Intersection(parts)              dominated under every part
+  StrictPure(global_pool)              a pure pool strategy beats s
+  StrictMixed(global_pool)             a mixture of the pool less s beats s
+  NeverBestResponse(mode, global_pool) no belief makes s a best response
+                                       against the pool
+  Inherent()                           weakly dominated within R_i on every
+                                       nonempty subset of opponent joints
+  Intersection(parts)                  dominated under every part
 
+"Beats" means strictly, on every opponent joint of R.  The pool is R_i;
+`global_pool=True` makes it G_i, the initial game's strategies, which is
+the "global" variant.  `mode` is what an NBR belief ranges over: pure
+opponent joints, independent mixtures (exact on two players only), or
+correlated distributions.  Each class owns its `name`, its `belief_mode`,
+its decision `decide(r, i, s)` and its check `verify(r, i, s, cert)`.
 Relations are hashable values so dominated sets can be memoized per
 (relation, restriction).
 """
@@ -43,42 +49,125 @@ INHERENT_JOINT_CAP = 16
 
 
 # ---------------------------------------------------------------------------
-# Relation tags
+# Relations
+
+
+def _pool(rel, r: Restriction, i: int) -> Sequence[int]:
+    """The strategies a dominator may use: G_i for a global relation, else R_i."""
+    return range(r.game.sizes[i]) if rel.global_pool else r.kept[i]
 
 
 @dataclass(frozen=True)
 class StrictPure:
-    pass
+    global_pool: bool = False
+    belief_mode = None
 
+    @property
+    def name(self) -> str:
+        return "global-strict-pure" if self.global_pool else "strict-pure"
 
-@dataclass(frozen=True)
-class GlobalStrictPure:
-    pass
+    def decide(self, r: Restriction, i: int, s: int) -> Optional[PureDominator]:
+        pool = _pool(self, r, i)
+        mine, *rows = r.payoff_rows(i, [s, *pool])
+        for t, row in zip(pool, rows):
+            if t != s and _above(row, mine):
+                return PureDominator(t)
+        return None
+
+    def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
+        if not isinstance(cert, PureDominator) or cert.strategy not in _pool(self, r, i):
+            return False
+        return strictly_dominates_pure(r, i, cert.strategy, s)
 
 
 @dataclass(frozen=True)
 class StrictMixed:
-    pass
+    global_pool: bool = False
+    belief_mode = None
 
+    @property
+    def name(self) -> str:
+        return "global-strict-mixed" if self.global_pool else "strict-mixed"
 
-@dataclass(frozen=True)
-class GlobalStrictMixed:
-    pass
+    def decide(self, r: Restriction, i: int, s: int) -> Optional[MixedDominator]:
+        pool = [t for t in _pool(self, r, i) if t != s]
+        # A pure best response of s settles it: eps <= 0 without the LP.
+        if not pool or pure_best_response(r, i, s, pool) is not None:
+            return None
+        eps, mixed = max_min_advantage(r, i, s, pool)
+        return MixedDominator(mixed, eps) if eps > 0 else None
+
+    def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
+        if not isinstance(cert, MixedDominator) or cert.eps <= 0:
+            return False
+        support, pool = cert.mixed.support, _pool(self, r, i)
+        if s in support or not all(t in pool for t in support):
+            return False
+        return mixed_strictly_dominates(r, i, cert.mixed, s)
 
 
 @dataclass(frozen=True)
 class NeverBestResponse:
     mode: BeliefMode
+    global_pool: bool = False
 
+    @property
+    def name(self) -> str:
+        return "global-nbr" if self.global_pool else "nbr"
 
-@dataclass(frozen=True)
-class GlobalNeverBestResponse:
-    mode: BeliefMode
+    @property
+    def belief_mode(self) -> BeliefMode:
+        return self.mode
+
+    def decide(self, r: Restriction, i: int, s: int) -> Optional[NeverBest]:
+        pool = _pool(self, r, i)
+        # Where the LP decides (correlated beliefs, or independent ones on two
+        # players), a pure best response is already a witness.
+        solved_by_lp = self.mode is BeliefMode.CORRELATED or (
+            self.mode is BeliefMode.MIXED_INDEPENDENT and r.n == 2
+        )
+        if solved_by_lp and pure_best_response(r, i, s, pool) is not None:
+            return None
+        compare = pool if self.global_pool else None
+        if best_response_feasible(r, i, s, self.mode, compare) is not None:
+            return None
+        if self.mode is not BeliefMode.PURE:
+            return NeverBest(self.mode, self.global_pool)
+        mine, *rows = r.payoff_rows(i, [s, *pool])
+        better = tuple(
+            (opp, next(t for t, row in zip(pool, rows) if row[k] > mine[k]))
+            for k, opp in enumerate(r.opponent_joints(i))
+        )
+        return NeverBest(self.mode, self.global_pool, better)
+
+    def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
+        if not isinstance(cert, NeverBest):
+            return False
+        if cert.mode != self.mode or cert.global_pool != self.global_pool:
+            return False
+        # Recompute the decision; the LP-mode evidence is non-positive.
+        return is_dominated(self, r, i, s) is not None
 
 
 @dataclass(frozen=True)
 class Inherent:
-    pass
+    name = "inherent"
+    belief_mode = None
+
+    def decide(self, r: Restriction, i: int, s: int) -> Optional[InherentEvidence]:
+        ok, ev = is_inherently_dominated(r, i, s)
+        return ev if ok else None
+
+    def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
+        if not isinstance(cert, InherentEvidence):
+            return False
+        covered = {subset for subset, _ in cert.dominators}
+        if covered != set(_nonempty_subsets(r.opponent_joints(i))):
+            return False
+        return all(
+            weakly_dominates_pure(r, i, t, s, subset)
+            for subset, t in cert.dominators
+        )
 
 
 @dataclass(frozen=True)
@@ -89,74 +178,49 @@ class Intersection:
         if not self.parts:
             raise StructuralError("intersection of zero relations")
 
+    @property
+    def name(self) -> str:
+        return ",".join(p.name for p in self.parts)
 
-Relation = Union[
-    StrictPure,
-    GlobalStrictPure,
-    StrictMixed,
-    GlobalStrictMixed,
-    NeverBestResponse,
-    GlobalNeverBestResponse,
-    Inherent,
-    Intersection,
-]
+    @property
+    def belief_mode(self) -> Optional[BeliefMode]:
+        """The first part's belief mode that is not None, if any."""
+        return next(
+            (p.belief_mode for p in self.parts if p.belief_mode is not None), None
+        )
 
-
-def relation_name(rel: Relation) -> str:
-    if isinstance(rel, StrictPure):
-        return "strict-pure"
-    if isinstance(rel, GlobalStrictPure):
-        return "global-strict-pure"
-    if isinstance(rel, StrictMixed):
-        return "strict-mixed"
-    if isinstance(rel, GlobalStrictMixed):
-        return "global-strict-mixed"
-    if isinstance(rel, NeverBestResponse):
-        return "nbr"
-    if isinstance(rel, GlobalNeverBestResponse):
-        return "global-nbr"
-    if isinstance(rel, Inherent):
-        return "inherent"
-    if isinstance(rel, Intersection):
-        return ",".join(relation_name(p) for p in rel.parts)
-    raise StructuralError(f"not a relation: {type(rel).__name__}")
+    def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
+        if not isinstance(cert, IntersectionEvidence) or len(cert.parts) != len(self.parts):
+            return False
+        return all(p.verify(r, i, s, c) for p, c in zip(self.parts, cert.parts))
 
 
-_SIMPLE_NAMES = {
-    "strict-pure": StrictPure,
-    "global-strict-pure": GlobalStrictPure,
-    "strict-mixed": StrictMixed,
-    "global-strict-mixed": GlobalStrictMixed,
-    "inherent": Inherent,
+Relation = Union[StrictPure, StrictMixed, NeverBestResponse, Inherent, Intersection]
+
+
+# Per belief mode, every simple relation by name.
+_BY_NAME = {
+    mode: {
+        rel.name: rel
+        for pool in (False, True)
+        for rel in (
+            StrictPure(pool), StrictMixed(pool), NeverBestResponse(mode, pool), Inherent()
+        )
+    }
+    for mode in BeliefMode
 }
 
 
 def parse_relation(name: str, beliefs: BeliefMode = BeliefMode.PURE) -> Relation:
     """Parse a relation name; comma-joined names form an intersection."""
+    known = _BY_NAME[beliefs]
     parts = []
     for token in name.split(","):
         token = token.strip()
-        if token in _SIMPLE_NAMES:
-            parts.append(_SIMPLE_NAMES[token]())
-        elif token == "nbr":
-            parts.append(NeverBestResponse(beliefs))
-        elif token == "global-nbr":
-            parts.append(GlobalNeverBestResponse(beliefs))
-        else:
+        if token not in known:
             raise StructuralError(f"unknown relation {token!r}")
+        parts.append(known[token])
     return parts[0] if len(parts) == 1 else Intersection(tuple(parts))
-
-
-def relation_belief_mode(rel: Relation) -> Optional[BeliefMode]:
-    """The belief mode a relation depends on, if any."""
-    if isinstance(rel, (NeverBestResponse, GlobalNeverBestResponse)):
-        return rel.mode
-    if isinstance(rel, Intersection):
-        for p in rel.parts:
-            mode = relation_belief_mode(p)
-            if mode is not None:
-                return mode
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +325,16 @@ def _nonempty_subsets(items: Sequence) -> list[tuple]:
 
 
 def is_inherently_dominated(
-    r: Restriction, i: int, s: int, cap: int = INHERENT_JOINT_CAP
+    r: Restriction, i: int, s: int
 ) -> tuple[bool, Optional[InherentEvidence]]:
     """Weakly dominated given every nonempty subset of opponent joints."""
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
     opps = r.opponent_joints(i)
-    if len(opps) > cap:
+    if len(opps) > INHERENT_JOINT_CAP:
         raise UnsupportedConfiguration(
-            f"{len(opps)} opponent joints exceed the inherent-dominance cap {cap}"
+            f"{len(opps)} opponent joints exceed the inherent-dominance cap "
+            f"{INHERENT_JOINT_CAP}"
         )
     rivals = [t for t in r.kept[i] if t != s]
     # Quick refutation: a singleton subset needs a strictly better rival.
@@ -305,55 +370,6 @@ def is_dominated(rel: Relation, r: Restriction, i: int, s: int) -> Optional[Cert
     return None
 
 
-def _is_dominated_raw(
-    rel: Relation, r: Restriction, i: int, s: int
-) -> Optional[Certificate]:
-    g = r.game
-    if isinstance(rel, StrictPure) or isinstance(rel, GlobalStrictPure):
-        pool = range(g.sizes[i]) if isinstance(rel, GlobalStrictPure) else r.kept[i]
-        mine, *rows = r.payoff_rows(i, [s, *pool])
-        for t, row in zip(pool, rows):
-            if t != s and _above(row, mine):
-                return PureDominator(t)
-        return None
-    if isinstance(rel, StrictMixed) or isinstance(rel, GlobalStrictMixed):
-        if isinstance(rel, GlobalStrictMixed):
-            pool = [t for t in range(g.sizes[i]) if t != s]
-        else:
-            pool = [t for t in r.kept[i] if t != s]
-        # A pure best response of s settles it: eps <= 0 without the LP.
-        if not pool or pure_best_response(r, i, s, pool) is not None:
-            return None
-        eps, mixed = max_min_advantage(r, i, s, pool)
-        return MixedDominator(mixed, eps) if eps > 0 else None
-    if isinstance(rel, (NeverBestResponse, GlobalNeverBestResponse)):
-        global_pool = isinstance(rel, GlobalNeverBestResponse)
-        compare = tuple(range(g.sizes[i])) if global_pool else None
-        pool = compare if compare is not None else r.kept[i]
-        # Where the LP decides (correlated beliefs, or independent ones on two
-        # players), a pure best response is already a witness.
-        solved_by_lp = rel.mode is BeliefMode.CORRELATED or (
-            rel.mode is BeliefMode.MIXED_INDEPENDENT and r.n == 2
-        )
-        if solved_by_lp and pure_best_response(r, i, s, pool) is not None:
-            return None
-        witness = best_response_feasible(r, i, s, rel.mode, compare)
-        if witness is not None:
-            return None
-        if rel.mode is BeliefMode.PURE:
-            mine, *rows = r.payoff_rows(i, [s, *pool])
-            better = tuple(
-                (opp, next(t for t, row in zip(pool, rows) if row[k] > mine[k]))
-                for k, opp in enumerate(r.opponent_joints(i))
-            )
-            return NeverBest(rel.mode, global_pool, better)
-        return NeverBest(rel.mode, global_pool)
-    if isinstance(rel, Inherent):
-        ok, ev = is_inherently_dominated(r, i, s)
-        return ev if ok else None
-    raise StructuralError(f"not a relation: {type(rel).__name__}")
-
-
 @lru_cache(maxsize=None)
 def _dominated_entries(
     rel: Relation, r: Restriction
@@ -380,9 +396,10 @@ def _dominated_entries(
             (key, IntersectionEvidence(tuple(certs[key] for certs in parts)))
             for key in keys
         )
+    decide = rel.decide
     out = []
     for i, s in r.strategies():
-        cert = _is_dominated_raw(rel, r, i, s)
+        cert = decide(r, i, s)
         if cert is not None:
             out.append(((i, s), cert))
     return tuple(out)
@@ -405,7 +422,7 @@ def dominated_set(
         for i, ks in enumerate(r.kept):
             if dominated_count[i] == len(ks):
                 raise AssumptionViolated(
-                    f"player {i} has no {relation_name(rel)}-undominated strategy"
+                    f"player {i} has no {rel.name}-undominated strategy"
                 )
     return dict(entries)
 
@@ -418,50 +435,7 @@ def verify_certificate(
     rel: Relation, r: Restriction, i: int, s: int, cert: Certificate
 ) -> bool:
     """Re-check a certificate against the defining inequalities."""
-    g = r.game
-    if isinstance(rel, (StrictPure, GlobalStrictPure)):
-        if not isinstance(cert, PureDominator):
-            return False
-        if isinstance(rel, StrictPure) and not r.contains(i, cert.strategy):
-            return False
-        return strictly_dominates_pure(r, i, cert.strategy, s)
-    if isinstance(rel, (StrictMixed, GlobalStrictMixed)):
-        if not isinstance(cert, MixedDominator) or cert.eps <= 0:
-            return False
-        m = cert.mixed
-        if s in m.support:
-            return False
-        if isinstance(rel, StrictMixed) and not all(
-            r.contains(i, t) for t in m.support
-        ):
-            return False
-        return mixed_strictly_dominates(r, i, m, s)
-    if isinstance(rel, (NeverBestResponse, GlobalNeverBestResponse)):
-        if not isinstance(cert, NeverBest) or cert.mode != rel.mode:
-            return False
-        # Recompute the decision; the LP-mode evidence is non-positive.
-        return is_dominated(rel, r, i, s) is not None
-    if isinstance(rel, Inherent):
-        if not isinstance(cert, InherentEvidence):
-            return False
-        opps = r.opponent_joints(i)
-        covered = {subset for subset, _ in cert.dominators}
-        if covered != set(_nonempty_subsets(opps)):
-            return False
-        return all(
-            weakly_dominates_pure(r, i, t, s, subset)
-            for subset, t in cert.dominators
-        )
-    if isinstance(rel, Intersection):
-        if not isinstance(cert, IntersectionEvidence):
-            return False
-        if len(cert.parts) != len(rel.parts):
-            return False
-        return all(
-            verify_certificate(p, r, i, s, c)
-            for p, c in zip(rel.parts, cert.parts)
-        )
-    raise StructuralError(f"not a relation: {type(rel).__name__}")
+    return rel.verify(r, i, s, cert)
 
 
 def mixed_strictly_dominates(r: Restriction, i: int, m: MixedStrategy, s: int) -> bool:

@@ -187,9 +187,6 @@ class Restriction:
     def n(self) -> int:
         return self.game.n
 
-    def is_full(self) -> bool:
-        return self.kept == tuple(tuple(range(s)) for s in self.game.sizes)
-
     def strategies(self) -> Iterator[tuple[int, int]]:
         """All (player, strategy) pairs in canonical order."""
         for i, ks in enumerate(self.kept):

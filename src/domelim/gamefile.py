@@ -27,15 +27,22 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _int(digits: str, line: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on digits to convert
+        raise GameParseError(line, f"number of {len(digits)} digits is too long")
+
+
 def parse_rational(token: str, line: int) -> Fraction:
-    if not _RATIONAL_RE.match(token):
+    if not isinstance(token, str) or not _RATIONAL_RE.match(token):
         raise GameParseError(line, f"bad rational {token!r}")
     if "/" in token:
         num, den = token.split("/")
-        if int(den) == 0:
+        if _int(den, line) == 0:
             raise GameParseError(line, f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+        return Fraction(_int(num, line), int(den))
+    return Fraction(_int(token, line))
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -64,7 +71,7 @@ def parse_game(text: str) -> Game:
     m = re.fullmatch(r"players\s+(\d+)", header)
     if not m:
         raise GameParseError(lineno, f"expected 'players <n>', got {header!r}")
-    n = int(m.group(1))
+    n = _int(m.group(1), lineno)
     if n < 2:
         raise GameParseError(lineno, f"at least 2 players required, got {n}")
 

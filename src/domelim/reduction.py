@@ -6,19 +6,20 @@ the current restriction.  Policies fix which step to take:
   FullSpeed     remove everything dominated at once
   SingleLex     remove the first dominated strategy in (player, index) order
   SingleRandom  remove one dominated strategy uniformly, seeded
-  AllSubsets    every nonempty subset of the dominated set (order analysis)
 
-`all_outcomes` explores the AllSubsets graph memoized on restrictions;
-order independence of a relation on a game is exactly this set being a
-singleton.  The walk tests each child's kept tuple against a seen-set of
-kept tuples and builds a `Restriction` (through its validating
-constructor) only for an unseen child.  Children are visited in bitmask
-order over the sorted dominated keys, as `successors(AllSubsets)` lists
-them.  A budget caps the restrictions admitted: once it is reached,
-unseen children are dropped and the search reports `complete=False`, the
-same partial outcome set and the same `explored` count as a search that
-built every child.  `reachable_restrictions` walks the same graph and
-raises instead of returning a partial set.
+The order graph takes every step: one per nonempty subset of the dominated
+set.  A relation is order independent on a game exactly when one
+irreducible restriction is reachable in it.  One lazy depth-first walk,
+`_walk`, serves `all_outcomes` (the irreducible restrictions),
+`reachable_restrictions` (all of them) and `reachable_steps` (every step).
+It builds a `Restriction` only for a child whose kept tuple it has not
+seen, and every step to that child reuses it.  Children come in bitmask
+order over the sorted dominated keys.  A budget caps the restrictions
+admitted; past it, unseen children are dropped.  `all_outcomes` then
+reports `complete=False` with the partial outcome set,
+`reachable_restrictions` raises UnsupportedConfiguration, and
+`reachable_steps` yields the steps before the first one to a dropped
+child and raises there.  Nothing is truncated silently.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Union
 
-from .dominance import (
-    Certificate,
-    Relation,
-    dominated_set,
-    is_dominated,
-    relation_name,
-)
+from .dominance import Certificate, Relation, dominated_set, is_dominated
 from .errors import StructuralError, UnsupportedConfiguration
 from .game import Game, Restriction, restriction_leq
 
@@ -56,12 +51,7 @@ class SingleRandom:
     seed: int
 
 
-@dataclass(frozen=True)
-class AllSubsets:
-    pass
-
-
-OrderPolicy = Union[FullSpeed, SingleLex, SingleRandom, AllSubsets]
+OrderPolicy = Union[FullSpeed, SingleLex, SingleRandom]
 
 
 def policy_name(policy: OrderPolicy) -> str:
@@ -69,7 +59,6 @@ def policy_name(policy: OrderPolicy) -> str:
         FullSpeed: "fastest",
         SingleLex: "single-lex",
         SingleRandom: "single-random",
-        AllSubsets: "all-subsets",
     }[type(policy)]
 
 
@@ -121,19 +110,11 @@ def successors(
             rng = random.Random(policy.seed)
         k = keys[rng.randrange(len(keys))]
         return [_step(r, {k: dom[k]})]
-    if isinstance(policy, AllSubsets):
-        out = []
-        for mask in range(1, 1 << len(keys)):
-            sub = {k: dom[k] for j, k in enumerate(keys) if mask >> j & 1}
-            out.append(_step(r, sub))
-        return out
     raise StructuralError(f"not a policy: {type(policy).__name__}")
 
 
 def normal_form(rel: Relation, g: Game, policy: OrderPolicy) -> Trace:
     """Iterate the policy from the full game until no step remains."""
-    if isinstance(policy, AllSubsets):
-        raise StructuralError("AllSubsets does not define a single iteration")
     rng = random.Random(policy.seed) if isinstance(policy, SingleRandom) else None
     r = Restriction.full(g)
     steps = []
@@ -176,36 +157,31 @@ def _child_kepts(
         yield combo[::-1]
 
 
-def _search(
+def _walk(
     rel: Relation, g: Game, budget: int
-) -> tuple[dict[tuple[tuple[int, ...], ...], Restriction], set[Restriction], bool]:
-    """Depth-first walk of the AllSubsets graph from the full game.
+) -> Iterator[tuple[Restriction, dict, list[Optional[Restriction]]]]:
+    """Depth-first walk of the order graph from the full game.
 
-    Returns the admitted restrictions by kept tuple, the irreducible ones
-    among them, and whether every reachable restriction was admitted.  A
-    child is admitted while fewer than `budget` restrictions are; past
-    that, unseen children are dropped and the walk is incomplete.
+    Yields each admitted restriction once, with its dominated set and its
+    children in bitmask order: a child's `Restriction`, or None where the
+    budget dropped it.  A child is admitted while fewer than `budget`
+    restrictions are.
     """
     start = Restriction.full(g)
     seen = {start.kept: start}
-    outcomes: set[Restriction] = set()
     stack = [start]
-    complete = True
     while stack:
         r = stack.pop()
         dom = dominated_set(rel, r)
-        if not dom:
-            outcomes.add(r)
-            continue
-        for kept in _child_kepts(r, sorted(dom)):
-            if kept not in seen:
-                if len(seen) >= budget:
-                    complete = False
-                    continue
-                child = Restriction(g, kept)
-                seen[kept] = child
-                stack.append(child)
-    return seen, outcomes, complete
+        children: list[Optional[Restriction]] = []
+        if dom:
+            for kept in _child_kepts(r, sorted(dom)):
+                child = seen.get(kept)
+                if child is None and len(seen) < budget:
+                    child = seen[kept] = Restriction(g, kept)
+                    stack.append(child)
+                children.append(child)
+        yield r, dom, children
 
 
 def all_outcomes(rel: Relation, g: Game, budget: int = DEFAULT_BUDGET) -> OutcomeSearch:
@@ -214,8 +190,22 @@ def all_outcomes(rel: Relation, g: Game, budget: int = DEFAULT_BUDGET) -> Outcom
     Exceeding the budget returns the partial outcome set with
     `complete=False`; it never truncates silently.
     """
-    seen, outcomes, complete = _search(rel, g, budget)
-    return OutcomeSearch(frozenset(outcomes), complete, len(seen))
+    outcomes: set[Restriction] = set()
+    complete = True
+    explored = 0
+    for r, dom, children in _walk(rel, g, budget):
+        explored += 1
+        if not dom:
+            outcomes.add(r)
+        elif None in children:
+            complete = False
+    return OutcomeSearch(frozenset(outcomes), complete, explored)
+
+
+def _budget_exceeded(rel: Relation, budget: int) -> UnsupportedConfiguration:
+    return UnsupportedConfiguration(
+        f"more than {budget} restrictions reachable under {rel.name}"
+    )
 
 
 def reachable_restrictions(
@@ -225,28 +215,31 @@ def reachable_restrictions(
 
     Raises UnsupportedConfiguration when more than `budget` are reachable.
     """
-    seen, _, complete = _search(rel, g, budget)
-    if not complete:
-        raise UnsupportedConfiguration(
-            f"more than {budget} restrictions reachable under {relation_name(rel)}"
-        )
-    return set(seen.values())
+    out = set()
+    for r, _, children in _walk(rel, g, budget):
+        if None in children:
+            raise _budget_exceeded(rel, budget)
+        out.add(r)
+    return out
 
 
 def reachable_steps(
     rel: Relation, g: Game, budget: int = DEFAULT_BUDGET
 ) -> Iterator[ReductionStep]:
-    """Every distinct step in the AllSubsets graph from the full game."""
-    start = Restriction.full(g)
-    seen = {start}
-    stack = [start]
-    while stack:
-        r = stack.pop()
-        for step in successors(rel, r, AllSubsets()):
-            yield step
-            if step.after not in seen and len(seen) < budget:
-                seen.add(step.after)
-                stack.append(step.after)
+    """Every distinct step in the order graph from the full game.
+
+    Raises UnsupportedConfiguration in place of the first step to a
+    restriction the budget leaves out.
+    """
+    for r, dom, children in _walk(rel, g, budget):
+        keys = sorted(dom)
+        for mask, child in enumerate(children, start=1):
+            if child is None:
+                raise _budget_exceeded(rel, budget)
+            removed = tuple(
+                (k, dom[k]) for j, k in enumerate(keys) if mask >> j & 1
+            )
+            yield ReductionStep(r, child, removed)
 
 
 def check_hereditary_step(rel: Relation, step: ReductionStep) -> Optional[tuple[int, int]]:

@@ -20,8 +20,6 @@ from .dominance import (
     Relation,
     dominated_set,
     parse_relation,
-    relation_belief_mode,
-    relation_name,
     verify_certificate,
 )
 from .errors import InvalidCertificate, StructuralError
@@ -41,6 +39,24 @@ def _index(g: Game, i: int, name: str) -> int:
         raise StructuralError(f"unknown strategy {name!r} for player {i + 1}")
 
 
+def _field(doc, key: str, kind: type):
+    """`doc[key]`, where `doc` must be an object whose `key` holds a `kind`."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise StructuralError(f"missing {key!r}")
+    value = doc[key]
+    # JSON booleans are Python ints too; a flag is not an index.
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise StructuralError(f"{key!r} must be a {kind.__name__}")
+    return value
+
+
+def _belief_mode(value) -> BeliefMode:
+    try:
+        return BeliefMode(value)
+    except ValueError:
+        raise StructuralError(f"unknown belief mode {value!r}")
+
+
 def _opp_labels(g: Game, i: int, opp: tuple[int, ...]) -> list[str]:
     players = [j for j in range(g.n) if j != i]
     return [_label(g, j, s) for j, s in zip(players, opp)]
@@ -48,8 +64,8 @@ def _opp_labels(g: Game, i: int, opp: tuple[int, ...]) -> list[str]:
 
 def _opp_indices(g: Game, i: int, names: list[str]) -> tuple[int, ...]:
     players = [j for j in range(g.n) if j != i]
-    if len(names) != len(players):
-        raise StructuralError("opponent joint has wrong arity")
+    if not isinstance(names, list) or len(names) != len(players):
+        raise StructuralError("opponent joint must list one label per opponent")
     return tuple(_index(g, j, name) for j, name in zip(players, names))
 
 
@@ -98,46 +114,52 @@ def certificate_to_json(g: Game, i: int, cert: Certificate) -> dict:
 
 
 def certificate_from_json(g: Game, i: int, doc: dict) -> Certificate:
-    kind = doc.get("type")
+    kind = _field(doc, "type", str)
     if kind == "pure-dominator":
-        return PureDominator(_index(g, i, doc["dominator"]))
+        return PureDominator(_index(g, i, _field(doc, "dominator", str)))
     if kind == "mixed-dominator":
         weights = {
             _index(g, i, name): parse_rational(val, 0)
-            for name, val in doc["weights"].items()
+            for name, val in _field(doc, "weights", dict).items()
         }
-        return MixedDominator(MixedStrategy.of(i, weights), parse_rational(doc["eps"], 0))
+        eps = parse_rational(_field(doc, "eps", str), 0)
+        return MixedDominator(MixedStrategy.of(i, weights), eps)
     if kind == "never-best-response":
-        mode = BeliefMode(doc["mode"])
+        mode = _belief_mode(_field(doc, "mode", str))
         better = ()
         if mode is BeliefMode.PURE:
             better = tuple(
-                (_opp_indices(g, i, e["belief"]), _index(g, i, e["better"]))
-                for e in doc["evidence"]
+                (
+                    _opp_indices(g, i, _field(e, "belief", list)),
+                    _index(g, i, _field(e, "better", str)),
+                )
+                for e in _field(doc, "evidence", list)
             )
-        return NeverBest(mode, bool(doc["global"]), better)
+        return NeverBest(mode, _field(doc, "global", bool), better)
     if kind == "inherent":
         return InherentEvidence(
             tuple(
                 (
-                    tuple(_opp_indices(g, i, names) for names in e["subset"]),
-                    _index(g, i, e["dominator"]),
+                    tuple(
+                        _opp_indices(g, i, names) for names in _field(e, "subset", list)
+                    ),
+                    _index(g, i, _field(e, "dominator", str)),
                 )
-                for e in doc["evidence"]
+                for e in _field(doc, "evidence", list)
             )
         )
     if kind == "intersection":
         return IntersectionEvidence(
-            tuple(certificate_from_json(g, i, p) for p in doc["parts"])
+            tuple(certificate_from_json(g, i, p) for p in _field(doc, "parts", list))
         )
     raise StructuralError(f"unknown certificate type {kind!r}")
 
 
 def trace_to_document(trace: Trace) -> dict:
     g = trace.initial
-    mode = relation_belief_mode(trace.relation)
+    mode = trace.relation.belief_mode
     doc = {
-        "relation": relation_name(trace.relation),
+        "relation": trace.relation.name,
         "initial": {"labels": [list(names) for names in g.labels]},
         "steps": [
             {
@@ -175,26 +197,32 @@ def verify_trace_document(doc: dict, g: Game) -> None:
     The replayed outcome must be irreducible, so a trace with steps cut
     off its end is rejected.
     """
-    mode = BeliefMode(doc["belief_mode"]) if "belief_mode" in doc else BeliefMode.PURE
-    rel: Relation = parse_relation(doc["relation"], mode)
-    if doc["initial"]["labels"] != [list(names) for names in g.labels]:
+    name = _field(doc, "relation", str)
+    mode = _belief_mode(doc.get("belief_mode", BeliefMode.PURE.value))
+    rel: Relation = parse_relation(name, mode)
+    labels = _field(_field(doc, "initial", dict), "labels", list)
+    if labels != [list(names) for names in g.labels]:
         raise InvalidCertificate("trace labels do not match the game")
     r = Restriction.full(g)
-    for step in doc["steps"]:
+    for step in _field(doc, "steps", list):
         removed = []
-        for entry in step["removed"]:
-            i = entry["player"] - 1
-            s = _index(g, i, entry["strategy"])
-            cert = certificate_from_json(g, i, entry["certificate"])
+        for entry in _field(step, "removed", list):
+            player = _field(entry, "player", int)
+            if not 1 <= player <= g.n:
+                raise StructuralError(f"player {player} out of range")
+            i = player - 1
+            label = _field(entry, "strategy", str)
+            s = _index(g, i, label)
+            cert = certificate_from_json(g, i, _field(entry, "certificate", dict))
             if not verify_certificate(rel, r, i, s, cert):
                 raise InvalidCertificate(
-                    f"certificate for player {i + 1} strategy {entry['strategy']!r} "
+                    f"certificate for player {player} strategy {label!r} "
                     "fails re-verification"
                 )
             removed.append((i, s))
         r = r.remove(removed)
     kept = [[_label(g, i, s) for s in ks] for i, ks in enumerate(r.kept)]
-    if kept != doc["outcome"]["kept"]:
+    if kept != _field(_field(doc, "outcome", dict), "kept", list):
         raise InvalidCertificate("trace outcome does not match the replayed steps")
     if dominated_set(rel, r, validate=False):
         raise InvalidCertificate("trace outcome is not irreducible: steps are missing")

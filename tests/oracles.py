@@ -9,6 +9,9 @@ the reference whose pivot path the integer tableau in `lp.solve` must follow.
 `all_outcomes_reference` is the engine's former order search, which built a
 `Restriction` for every subset mask; the search must admit, in the same
 order, the restrictions it admits under every budget.
+`reachable_steps_reference` is the engine's former step walk, which went on
+past its budget without saying so; it marks the steps whose target it left
+out.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from domelim.lp import (
     LinearProgram,
     LpOutcome,
 )
-from domelim.reduction import DEFAULT_BUDGET, OutcomeSearch
+from domelim.reduction import DEFAULT_BUDGET, OutcomeSearch, ReductionStep
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -313,3 +316,25 @@ def all_outcomes_reference(
                 seen.add(child)
                 stack.append(child)
     return OutcomeSearch(frozenset(outcomes), complete, len(seen))
+
+
+def reachable_steps_reference(rel: Relation, g: Game, budget: int = DEFAULT_BUDGET):
+    """Every distinct step in the order graph from the full game, as pairs
+    `(step, dropped)`; `dropped` marks a step to a restriction that was not
+    yet seen when `budget` restrictions already were, so the walk did not
+    go on from it."""
+    start = Restriction.full(g)
+    seen = {start}
+    stack = [start]
+    while stack:
+        r = stack.pop()
+        dom = dominated_set(rel, r)
+        keys = sorted(dom)
+        for mask in range(1, 1 << len(keys)):
+            sub = {k: dom[k] for j, k in enumerate(keys) if mask >> j & 1}
+            step = ReductionStep(r, r.remove(sub.keys()), tuple(sorted(sub.items())))
+            dropped = step.after not in seen and len(seen) >= budget
+            yield step, dropped
+            if step.after not in seen and len(seen) < budget:
+                seen.add(step.after)
+                stack.append(step.after)

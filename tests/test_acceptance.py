@@ -16,9 +16,6 @@ import pytest
 
 from domelim.ars import newman_experiment
 from domelim.dominance import (
-    GlobalNeverBestResponse,
-    GlobalStrictMixed,
-    GlobalStrictPure,
     Inherent,
     Intersection,
     NeverBestResponse,
@@ -27,7 +24,6 @@ from domelim.dominance import (
     dominated_set,
     mixed_strictly_dominates,
     persist_dominator,
-    relation_name,
 )
 from domelim.fixtures import G_BELIEF, G_MIX, G_PD
 from domelim.game import BeliefMode, Restriction
@@ -57,15 +53,15 @@ MI = BeliefMode.MIXED_INDEPENDENT
 
 RELATIONS_2P = (
     StrictPure(),
-    GlobalStrictPure(),
+    StrictPure(global_pool=True),
     StrictMixed(),
-    GlobalStrictMixed(),
+    StrictMixed(global_pool=True),
     NeverBestResponse(P),
     NeverBestResponse(C),
     NeverBestResponse(MI),
-    GlobalNeverBestResponse(P),
-    GlobalNeverBestResponse(C),
-    GlobalNeverBestResponse(MI),
+    NeverBestResponse(P, global_pool=True),
+    NeverBestResponse(C, global_pool=True),
+    NeverBestResponse(MI, global_pool=True),
     Inherent(),
 )
 RELATIONS_3P = tuple(r for r in RELATIONS_2P if getattr(r, "mode", None) is not MI)
@@ -73,11 +69,11 @@ RELATIONS_3P = tuple(r for r in RELATIONS_2P if getattr(r, "mode", None) is not 
 # Base relations used for step sampling and pairwise intersections.
 BASE_RELATIONS = (
     StrictPure(),
-    GlobalStrictPure(),
+    StrictPure(global_pool=True),
     StrictMixed(),
-    GlobalStrictMixed(),
+    StrictMixed(global_pool=True),
     NeverBestResponse(P),
-    GlobalNeverBestResponse(P),
+    NeverBestResponse(P, global_pool=True),
     Inherent(),
 )
 
@@ -138,14 +134,17 @@ def test_criterion_1_order_independence(suite):
         for rel in rels:
             search = all_outcomes(rel, g)
             if not search.complete or len(search.outcomes) != 1:
-                failures.append((k, relation_name(rel), len(search.outcomes)))
+                failures.append((k, rel.name, len(search.outcomes)))
     report(1, "order independence", not failures, f"violations: {failures[:3]}")
 
 
 def test_criterion_2_hereditarity(suite):
     bad = []
     checked = 0
-    rels = list(BASE_RELATIONS) + [NeverBestResponse(C), GlobalNeverBestResponse(C)]
+    rels = list(BASE_RELATIONS) + [
+        NeverBestResponse(C),
+        NeverBestResponse(C, global_pool=True),
+    ]
     rels += [Intersection(pair) for pair in combinations(BASE_RELATIONS, 2)]
     for rel in rels:
         steps = sample_steps(suite, rel, quota=1000, seed=2)
@@ -153,17 +152,17 @@ def test_criterion_2_hereditarity(suite):
         for step in steps:
             witness = check_hereditary_step(rel, step)
             if witness is not None:
-                bad.append((relation_name(rel), witness))
+                bad.append((rel.name, witness))
     report(2, "hereditarity", checked > 0 and not bad, f"{checked} steps, bad: {bad[:3]}")
 
 
 def test_criterion_3_monotonicity(suite):
     rng = random.Random(3)
     monotonic_rels = (
-        GlobalStrictPure(),
-        GlobalStrictMixed(),
-        GlobalNeverBestResponse(P),
-        GlobalNeverBestResponse(C),
+        StrictPure(global_pool=True),
+        StrictMixed(global_pool=True),
+        NeverBestResponse(P, global_pool=True),
+        NeverBestResponse(C, global_pool=True),
     )
 
     def random_sub(r):
@@ -187,7 +186,7 @@ def test_criterion_3_monotonicity(suite):
         for r, r2 in pairs:
             witness = check_monotonic_pair(rel, r, r2)
             if witness is not None:
-                bad.append((relation_name(rel), witness))
+                bad.append((rel.name, witness))
                 break
 
     # The paper's counterexample: strict pure dominance fails monotonicity
@@ -263,10 +262,10 @@ def test_criterion_5_lp_duality(suite):
 def test_criterion_6_inclusion_chain(suite, visited):
     chains = [
         (StrictPure(), StrictMixed()),
-        (StrictPure(), GlobalStrictPure()),
-        (StrictMixed(), GlobalStrictMixed()),
-        (NeverBestResponse(P), GlobalNeverBestResponse(P)),
-        (NeverBestResponse(C), GlobalNeverBestResponse(C)),
+        (StrictPure(), StrictPure(global_pool=True)),
+        (StrictMixed(), StrictMixed(global_pool=True)),
+        (NeverBestResponse(P), NeverBestResponse(P, global_pool=True)),
+        (NeverBestResponse(C), NeverBestResponse(C, global_pool=True)),
         (StrictPure(), Inherent()),
     ]
     bad = []
@@ -278,7 +277,7 @@ def test_criterion_6_inclusion_chain(suite, visited):
                 d_big = set(dominated_set(big, r, validate=False))
                 checked += 1
                 if not d_small <= d_big:
-                    bad.append((relation_name(small), relation_name(big), r.kept))
+                    bad.append((small.name, big.name, r.kept))
             d_sm = set(dominated_set(StrictMixed(), r, validate=False))
             d_nbr = set(dominated_set(NeverBestResponse(C), r, validate=False))
             if d_sm != d_nbr:
@@ -305,13 +304,16 @@ def test_criterion_7_newman_harness():
 def test_criterion_8_proof_shape(suite):
     bad = []
     checked = 0
-    rels = list(BASE_RELATIONS) + [NeverBestResponse(C), GlobalNeverBestResponse(C)]
+    rels = list(BASE_RELATIONS) + [
+        NeverBestResponse(C),
+        NeverBestResponse(C, global_pool=True),
+    ]
     quota_per_rel = max(1, 1000 // len(rels)) + 1
     for rel in rels:
         for step in sample_steps(suite, rel, quota=quota_per_rel, seed=8):
             checked += 1
             if not check_proof_shape(rel, step):
-                bad.append((relation_name(rel), step.before.kept))
+                bad.append((rel.name, step.before.kept))
     report(8, "proof shape", checked >= 1000 and not bad, f"{checked} steps, bad: {bad[:3]}")
 
 
@@ -322,13 +324,13 @@ def test_criterion_9_fixture_endpoints():
         (StrictPure(), G_MIX, ((0, 1, 2), (0, 1))),
         (NeverBestResponse(P), G_BELIEF, ((0, 2), (0, 1))),
         (NeverBestResponse(C), G_BELIEF, ((0, 1, 2), (0, 1))),
-        (GlobalNeverBestResponse(C), G_BELIEF, ((0, 1, 2), (0, 1))),
+        (NeverBestResponse(C, global_pool=True), G_BELIEF, ((0, 1, 2), (0, 1))),
     ]
     bad = []
     for rel, g, expected in cases:
         outcome = normal_form(rel, g, FullSpeed()).outcome
         if outcome.kept != expected:
-            bad.append((relation_name(rel), outcome.kept))
+            bad.append((rel.name, outcome.kept))
     report(9, "fixture endpoints", not bad, f"bad: {bad}")
 
 

@@ -1,15 +1,13 @@
 """The seven relations, certificates, and the persistence construction."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
 from domelim.dominance import (
-    GlobalNeverBestResponse,
-    GlobalStrictMixed,
-    GlobalStrictPure,
     Inherent,
     Intersection,
     IntersectionEvidence,
@@ -24,7 +22,6 @@ from domelim.dominance import (
     mixed_strictly_dominates,
     parse_relation,
     persist_dominator,
-    relation_name,
     renormalize_without,
     strictly_dominates_pure,
     substitute,
@@ -78,7 +75,7 @@ class TestDominatedSet:
     def test_global_widening_on_sub_restriction(self, g_pd):
         sub = Restriction(g_pd, ((0,), (0, 1)))
         assert set(dominated_set(StrictPure(), sub)) == {(1, 0)}
-        raw = dominated_set(GlobalStrictPure(), sub, validate=False)
+        raw = dominated_set(StrictPure(global_pool=True), sub, validate=False)
         assert set(raw) == {(0, 0), (1, 0)}
 
     def test_strict_mixed_mix(self, r_mix):
@@ -97,7 +94,7 @@ class TestDominatedSet:
         # Both players' only strategy is globally dominated here.
         sub = Restriction(g_pd, ((0,), (0,)))
         with pytest.raises(AssumptionViolated):
-            dominated_set(GlobalStrictPure(), sub)
+            dominated_set(StrictPure(global_pool=True), sub)
 
     def test_unsupported_mixed_beliefs_three_players(self):
         g = random_game(random.Random(0), 3)
@@ -108,13 +105,13 @@ class TestDominatedSet:
     def test_certificates_verify(self, r_pd, r_mix, r_belief):
         rels = [
             StrictPure(),
-            GlobalStrictPure(),
+            StrictPure(global_pool=True),
             StrictMixed(),
-            GlobalStrictMixed(),
+            StrictMixed(global_pool=True),
             NeverBestResponse(PURE),
             NeverBestResponse(CORR),
-            GlobalNeverBestResponse(PURE),
-            GlobalNeverBestResponse(CORR),
+            NeverBestResponse(PURE, global_pool=True),
+            NeverBestResponse(CORR, global_pool=True),
             Inherent(),
             Intersection((StrictPure(), Inherent())),
         ]
@@ -122,6 +119,16 @@ class TestDominatedSet:
             for rel in rels:
                 for (i, s), cert in dominated_set(rel, r, validate=False).items():
                     assert verify_certificate(rel, r, i, s, cert)
+
+
+class TestNeverBestCertificates:
+    def test_pool_flag_must_match_the_relation(self, r_belief):
+        for global_pool in (False, True):
+            rel = NeverBestResponse(PURE, global_pool=global_pool)
+            cert = is_dominated(rel, r_belief, 0, 1)
+            assert verify_certificate(rel, r_belief, 0, 1, cert)
+            flipped = replace(cert, global_pool=not global_pool)
+            assert not verify_certificate(rel, r_belief, 0, 1, flipped)
 
 
 class TestWeaklyDominatesPure:
@@ -171,9 +178,15 @@ class TestInherent:
         ok, _ = is_inherently_dominated(r_one, 0, 0)
         assert not ok
 
-    def test_cap_enforced(self, r_pd):
+    def test_cap_enforced(self):
+        # Player 0 faces 5 * 4 = 20 opponent joints, past the cap of 16;
+        # player 2 faces 2 * 5 = 10, within it.
+        sizes = (2, 5, 4)
+        labels = [tuple(f"s{k}" for k in range(size)) for size in sizes]
+        r = Restriction.full(Game.from_table(labels, [(0, 0, 0)] * 40))
         with pytest.raises(UnsupportedConfiguration):
-            is_inherently_dominated(r_pd, 0, 0, cap=1)
+            is_inherently_dominated(r, 0, 0)
+        assert is_inherently_dominated(r, 2, 0) == (False, None)
 
     def test_strict_pure_implies_inherent(self):
         rng = random.Random(23)
@@ -188,10 +201,10 @@ class TestInherent:
 class TestInclusionChains:
     REL_PAIRS = [
         (StrictPure(), StrictMixed()),
-        (StrictPure(), GlobalStrictPure()),
-        (StrictMixed(), GlobalStrictMixed()),
-        (NeverBestResponse(PURE), GlobalNeverBestResponse(PURE)),
-        (NeverBestResponse(CORR), GlobalNeverBestResponse(CORR)),
+        (StrictPure(), StrictPure(global_pool=True)),
+        (StrictMixed(), StrictMixed(global_pool=True)),
+        (NeverBestResponse(PURE), NeverBestResponse(PURE, global_pool=True)),
+        (NeverBestResponse(CORR), NeverBestResponse(CORR, global_pool=True)),
         (StrictPure(), Inherent()),
     ]
 
@@ -208,7 +221,7 @@ class TestInclusionChains:
             for small, big in self.REL_PAIRS:
                 d_small = set(dominated_set(small, r, validate=False))
                 d_big = set(dominated_set(big, r, validate=False))
-                assert d_small <= d_big, (relation_name(small), relation_name(big))
+                assert d_small <= d_big, (small.name, big.name)
 
     def test_mixed_equals_nbr_correlated(self, r_pd, r_mix, r_belief, r_one):
         for r in [r_pd, r_mix, r_belief, r_one] + self._restrictions():
@@ -218,10 +231,10 @@ class TestInclusionChains:
 
     def test_local_equals_global_on_full_game(self, g_pd, g_mix, g_belief):
         pairs = [
-            (StrictPure(), GlobalStrictPure()),
-            (StrictMixed(), GlobalStrictMixed()),
-            (NeverBestResponse(PURE), GlobalNeverBestResponse(PURE)),
-            (NeverBestResponse(CORR), GlobalNeverBestResponse(CORR)),
+            (StrictPure(), StrictPure(global_pool=True)),
+            (StrictMixed(), StrictMixed(global_pool=True)),
+            (NeverBestResponse(PURE), NeverBestResponse(PURE, global_pool=True)),
+            (NeverBestResponse(CORR), NeverBestResponse(CORR, global_pool=True)),
         ]
         for g in (g_pd, g_mix, g_belief):
             r = Restriction.full(g)
@@ -296,7 +309,7 @@ class TestPureWitnessPrefilter:
                         eps, m = max_min_advantage(r, i, s, rivals)
                         if eps > 0:
                             expected[(i, s)] = MixedDominator(m, eps)
-                rel = GlobalStrictMixed() if global_pool else StrictMixed()
+                rel = StrictMixed(global_pool=global_pool)
                 assert dominated_set(rel, r, validate=False) == expected
                 compare = full_pools if global_pool else [None] * r.n
                 for mode in (CORR, mixed) if r.n == 2 else (CORR,):
@@ -305,7 +318,7 @@ class TestPureWitnessPrefilter:
                         for i, s in r.strategies()
                         if best_response_feasible(r, i, s, mode, compare[i]) is None
                     }
-                    rel = GlobalNeverBestResponse(mode) if global_pool else NeverBestResponse(mode)
+                    rel = NeverBestResponse(mode, global_pool=global_pool)
                     assert dominated_set(rel, r, validate=False) == expected
 
 
@@ -317,10 +330,10 @@ class TestIntersectionEntries:
         for r in _random_restrictions(43, 24):
             modes = (PURE, CORR, BeliefMode.MIXED_INDEPENDENT)[: 2 if r.n > 2 else 3]
             simple = (
-                [StrictPure(), GlobalStrictPure(), StrictMixed(), GlobalStrictMixed()]
-                + [Inherent()]
+                [StrictPure(), StrictPure(global_pool=True)]
+                + [StrictMixed(), StrictMixed(global_pool=True), Inherent()]
                 + [NeverBestResponse(m) for m in modes]
-                + [GlobalNeverBestResponse(m) for m in modes]
+                + [NeverBestResponse(m, global_pool=True) for m in modes]
             )
             for pair in combinations(simple, 2):
                 sets = [dominated_set(p, r, validate=False) for p in pair]
@@ -365,7 +378,7 @@ class TestRelationNames:
         ],
     )
     def test_round_trip(self, name):
-        assert relation_name(parse_relation(name)) == name
+        assert parse_relation(name).name == name
 
     def test_unknown_rejected(self):
         with pytest.raises(StructuralError):

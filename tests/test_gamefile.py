@@ -4,9 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from domelim.errors import GameParseError
+from domelim.errors import DomelimError, GameParseError
 from domelim.fixtures import G_ONE, G_PD
 from domelim.gamefile import format_rational, parse_game, parse_rational, write_game
 from domelim.generate import random_game
@@ -62,6 +62,19 @@ class TestParse:
         assert err.value.line == line
 
 
+    def test_overlong_numbers_rejected(self):
+        # Past the interpreter's limit on digits `int` converts.
+        digits = "7" * 5000
+        for text, line in [
+            (f"players {digits}\n", 1),
+            (f"players 2\nlabels 1: A\nlabels 2: X\npayoffs\n{digits} 0\n", 5),
+            (f"players 2\nlabels 1: A\nlabels 2: X\npayoffs\n0 1/{digits}\n", 5),
+        ]:
+            with pytest.raises(GameParseError) as err:
+                parse_game(text)
+            assert err.value.line == line
+
+
 class TestWrite:
     def test_pd_canonical(self):
         assert write_game(G_PD) == G_PD_TEXT
@@ -83,3 +96,28 @@ class TestWrite:
     def test_rational_round_trip(self, num, den):
         x = F(num, den)
         assert parse_rational(format_rational(x), 0) == x
+
+
+EDITS = st.lists(
+    st.tuples(
+        st.integers(0, len(G_PD_TEXT)),
+        st.integers(0, 3),
+        st.text(alphabet="0123456789-/ :#\nplayersbofD", max_size=4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDITS, st.text(max_size=40))
+def test_random_text_ends_in_a_domain_error(edits, noise):
+    """Edited game files and random text parse or raise a DomelimError."""
+    text = G_PD_TEXT
+    for at, cut, insert in edits:
+        text = text[:at] + insert + text[at + cut :]
+    for candidate in (text, noise, text + noise):
+        try:
+            parse_game(candidate)
+        except DomelimError:
+            pass

@@ -7,20 +7,16 @@ from itertools import combinations, product
 import pytest
 
 from domelim.dominance import (
-    GlobalNeverBestResponse,
-    GlobalStrictMixed,
-    GlobalStrictPure,
     Inherent,
     Intersection,
     NeverBestResponse,
     StrictMixed,
     StrictPure,
 )
-from domelim.errors import DomelimError, StructuralError
+from domelim.errors import DomelimError, StructuralError, UnsupportedConfiguration
 from domelim.game import BeliefMode, Game, Restriction
 from domelim.generate import random_game
 from domelim.reduction import (
-    AllSubsets,
     FullSpeed,
     SingleLex,
     SingleRandom,
@@ -34,7 +30,7 @@ from domelim.reduction import (
     successors,
 )
 
-from oracles import all_outcomes_reference
+from oracles import all_outcomes_reference, reachable_steps_reference
 
 PURE = BeliefMode.PURE
 
@@ -45,9 +41,10 @@ def simple_relations(players):
     if players == 2:
         modes.append(BeliefMode.MIXED_INDEPENDENT)
     return (
-        [StrictPure(), GlobalStrictPure(), StrictMixed(), GlobalStrictMixed(), Inherent()]
+        [StrictPure(), StrictPure(global_pool=True)]
+        + [StrictMixed(), StrictMixed(global_pool=True), Inherent()]
         + [NeverBestResponse(m) for m in modes]
-        + [GlobalNeverBestResponse(m) for m in modes]
+        + [NeverBestResponse(m, global_pool=True) for m in modes]
     )
 
 
@@ -79,14 +76,14 @@ class TestSuccessors:
         assert steps[0].after.kept == ((1,), (1,))
         assert {k for k, _ in steps[0].removed} == {(0, 0), (1, 0)}
 
-    def test_pd_all_subsets(self, r_pd):
-        steps = successors(StrictPure(), r_pd, AllSubsets())
+    def test_pd_all_subsets(self, g_pd, r_pd):
+        steps = [s for s in reachable_steps(StrictPure(), g_pd) if s.before == r_pd]
         afters = {step.after.kept for step in steps}
         assert afters == {((1,), (0, 1)), ((0, 1), (1,)), ((1,), (1,))}
 
     def test_terminal_is_empty(self, g_pd):
         terminal = Restriction(g_pd, ((1,), (1,)))
-        for policy in (FullSpeed(), SingleLex(), SingleRandom(0), AllSubsets()):
+        for policy in (FullSpeed(), SingleLex(), SingleRandom(0)):
             assert successors(StrictPure(), terminal, policy) == []
 
     def test_single_lex_takes_first(self, r_pd):
@@ -112,11 +109,8 @@ class TestNormalForm:
         assert len(trace.steps) == 2
 
     def test_belief_rationalizable_set_unchanged(self, g_belief):
-        from domelim.dominance import GlobalNeverBestResponse
-
-        trace = normal_form(
-            GlobalNeverBestResponse(BeliefMode.CORRELATED), g_belief, FullSpeed()
-        )
+        rel = NeverBestResponse(BeliefMode.CORRELATED, global_pool=True)
+        trace = normal_form(rel, g_belief, FullSpeed())
         assert trace.outcome == Restriction.full(g_belief)
         assert trace.steps == ()
 
@@ -127,10 +121,6 @@ class TestNormalForm:
             assert step.before == r
             r = step.after
         assert r == trace.outcome
-
-    def test_all_subsets_rejected(self, g_pd):
-        with pytest.raises(StructuralError):
-            normal_form(StrictPure(), g_pd, AllSubsets())
 
     def test_deterministic_random_policy(self, g_mix):
         rng = random.Random(50)
@@ -199,6 +189,37 @@ class TestReachableRestrictions:
             reachable_restrictions(StrictPure(), g_pd, budget=3)
 
 
+class TestReachableSteps:
+    def test_matches_reference_under_every_budget(self):
+        raised = 0
+        for g in search_games():
+            simple = simple_relations(g.n)
+            rels = simple + [Intersection(pair) for pair in combinations(simple, 2)]
+            for rel in rels:
+                for budget in range(1, all_outcomes(rel, g).explored + 1):
+                    expected = []
+                    dropped = False
+                    for step, dropped in reachable_steps_reference(rel, g, budget):
+                        if dropped:
+                            break
+                        expected.append(step)
+                    got = []
+                    walk = reachable_steps(rel, g, budget)
+                    if dropped:
+                        with pytest.raises(UnsupportedConfiguration):
+                            got.extend(walk)
+                        raised += 1
+                    else:
+                        got.extend(walk)
+                    assert got == expected, (rel, budget)
+        assert raised > 0
+
+    def test_pd_budget_one_raises(self, g_pd):
+        assert len(list(reachable_steps(StrictPure(), g_pd))) == 5
+        with pytest.raises(UnsupportedConfiguration, match="more than 1 restrictions"):
+            next(reachable_steps(StrictPure(), g_pd, budget=1))
+
+
 class TestHereditaryStep:
     def test_pd_single_lex_step(self, r_pd):
         step = successors(StrictPure(), r_pd, SingleLex())[0]
@@ -222,7 +243,7 @@ class TestMonotonicPair:
     def test_global_strict_pure_same_pair(self, g_pd):
         r = Restriction.full(g_pd)
         r2 = Restriction(g_pd, ((0,), (0,)))
-        assert check_monotonic_pair(GlobalStrictPure(), r, r2) is None
+        assert check_monotonic_pair(StrictPure(global_pool=True), r, r2) is None
 
     def test_identical_pair(self, r_pd, r_belief):
         for r in (r_pd, r_belief):

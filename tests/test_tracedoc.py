@@ -1,24 +1,30 @@
 """Trace document serialization and certificate re-verification."""
 
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from domelim.dominance import (
-    GlobalNeverBestResponse,
     Inherent,
     Intersection,
     NeverBestResponse,
     StrictMixed,
     StrictPure,
 )
-from domelim.errors import InvalidCertificate
+from domelim.errors import DomelimError, InvalidCertificate, StructuralError
 from domelim.fixtures import G_BELIEF, G_MIX, G_PD
 from domelim.game import BeliefMode
 from domelim.generate import random_game
 from domelim.reduction import FullSpeed, SingleLex, normal_form
-from domelim.tracedoc import dump_trace, trace_to_document, verify_trace_document
+from domelim.tracedoc import (
+    certificate_from_json,
+    dump_trace,
+    trace_to_document,
+    verify_trace_document,
+)
 
 
 def roundtrip(trace, game):
@@ -52,9 +58,8 @@ class TestTraceDocuments:
             assert doc["belief_mode"] == mode.value
 
     def test_global_nbr_no_steps(self):
-        trace = normal_form(
-            GlobalNeverBestResponse(BeliefMode.CORRELATED), G_BELIEF, FullSpeed()
-        )
+        rel = NeverBestResponse(BeliefMode.CORRELATED, global_pool=True)
+        trace = normal_form(rel, G_BELIEF, FullSpeed())
         doc = roundtrip(trace, G_BELIEF)
         assert doc["steps"] == []
         assert doc["outcome"]["kept"] == [["U", "M", "D"], ["L", "R"]]
@@ -98,3 +103,147 @@ class TestTraceDocuments:
         t1 = dump_trace(normal_form(StrictMixed(), G_MIX, SingleLex()))
         t2 = dump_trace(normal_form(StrictMixed(), G_MIX, SingleLex()))
         assert t1 == t2
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(*path, value):
+    def mutate(doc):
+        _at(doc, path[:-1])[path[-1]] = value
+        return doc
+
+    return mutate
+
+
+def _drop(*path):
+    def mutate(doc):
+        del _at(doc, path[:-1])[path[-1]]
+        return doc
+
+    return mutate
+
+
+ENTRY = ("steps", 0, "removed", 0)
+MALFORMED = {
+    "player out of range": _set(*ENTRY, "player", value=9),
+    "player zero": _set(*ENTRY, "player", value=0),
+    "player as text": _set(*ENTRY, "player", value="1"),
+    "player as boolean": _set(*ENTRY, "player", value=True),
+    "no steps": _drop("steps"),
+    "no outcome": _drop("outcome"),
+    "no dominator": _drop(*ENTRY, "certificate", "dominator"),
+    "no certificate": _drop(*ENTRY, "certificate"),
+    "steps not a list": _set("steps", value=5),
+    "step not an object": _set("steps", 0, value="step"),
+    "strategy as number": _set(*ENTRY, "strategy", value=1),
+    "relation as list": _set("relation", value=["strict-pure"]),
+    "unknown belief mode": _set("belief_mode", value="telepathic"),
+    "labels not a list": _set("initial", "labels", value=None),
+    "outcome not an object": _set("outcome", value=[["D"], ["D"]]),
+    "list in place of the document": lambda doc: [doc],
+    "number in place of the document": lambda doc: 5,
+}
+
+MALFORMED_CERTIFICATES = {
+    "not an object": [],
+    "type as number": {"type": 3},
+    "no type": {"dominator": "D"},
+    "global flag as text": {
+        "type": "never-best-response", "mode": "pure", "global": "no", "evidence": []
+    },
+    "unknown mode": {"type": "never-best-response", "mode": "psychic", "global": False},
+    "belief not a list": {
+        "type": "never-best-response",
+        "mode": "pure",
+        "global": False,
+        "evidence": [{"belief": "C", "better": "D"}],
+    },
+    "weight as number": {"type": "mixed-dominator", "eps": "1/2", "weights": {"D": 1}},
+    "weights not an object": {"type": "mixed-dominator", "eps": "1/2", "weights": []},
+    "eps as number": {"type": "mixed-dominator", "eps": 1, "weights": {"D": "1"}},
+    "subset joint not a list": {
+        "type": "inherent", "evidence": [{"subset": ["C"], "dominator": "D"}]
+    },
+    "parts not a list": {"type": "intersection", "parts": {}},
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_document_ends_in_a_domain_error(self, mutate):
+        doc = mutate(trace_to_document(normal_form(StrictPure(), G_PD, FullSpeed())))
+        with pytest.raises((StructuralError, InvalidCertificate)):
+            verify_trace_document(doc, G_PD)
+
+    @pytest.mark.parametrize(
+        "doc", MALFORMED_CERTIFICATES.values(), ids=MALFORMED_CERTIFICATES.keys()
+    )
+    def test_certificate_ends_in_a_domain_error(self, doc):
+        with pytest.raises((StructuralError, InvalidCertificate)):
+            certificate_from_json(G_PD, 0, doc)
+
+
+def _valid_documents():
+    """One trace document per certificate type, with the game it replays on."""
+    cases = [
+        (StrictPure(), G_PD),
+        (StrictMixed(), G_MIX),
+        (NeverBestResponse(BeliefMode.PURE), G_BELIEF),
+        (NeverBestResponse(BeliefMode.CORRELATED, global_pool=True), G_MIX),
+        (Inherent(), G_PD),
+        (Intersection((StrictPure(), Inherent())), G_PD),
+    ]
+    return [(trace_to_document(normal_form(rel, g, SingleLex())), g) for rel, g in cases]
+
+
+VALID_DOCUMENTS = _valid_documents()
+TOKENS = (
+    ["C", "D", "U", "M", "L", "R", "0", "1", "-1", "1/2", "1/0", "pure", "correlated"]
+    + ["mixed", "strict-pure", "nbr", "global-nbr", "inherent", "lp-infeasible"]
+    + ["pure-dominator", "mixed-dominator", "never-best-response", "intersection"]
+    + ["type", "dominator", "weights", "eps", "mode", "global", "evidence", "belief"]
+    + ["better", "subset", "parts", "player", "strategy", "certificate", "removed"]
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 10)
+    | st.sampled_from(TOKENS)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(TOKENS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(node, path=()):
+    """Every (container path, key) in a JSON tree."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield path, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key], path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_documents_end_in_domain_errors(data):
+    base, game = data.draw(st.sampled_from(VALID_DOCUMENTS))
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, key = data.draw(st.sampled_from(list(_slots(doc))))
+        container = _at(doc, path)
+        if data.draw(st.booleans()):
+            container[key] = data.draw(JSON_VALUES)
+        elif isinstance(container, dict):
+            del container[key]
+        else:
+            container.pop(key)
+    try:
+        verify_trace_document(doc, game)
+    except DomelimError:
+        pass
