@@ -11,12 +11,9 @@ from .errors import (
     UnsupportedConfiguration,
 )
 from .game import (
-    Belief,
     BeliefMode,
     CorrelatedBelief,
     Game,
-    JointPureBelief,
-    MixedProfileBelief,
     MixedStrategy,
     Restriction,
     expected_payoff,

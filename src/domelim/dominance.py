@@ -19,6 +19,14 @@ correlated distributions.  Each class owns its `name`, its `belief_mode`,
 its decision `decide(r, i, s)` and its check `verify(r, i, s, cert)`.
 Relations are hashable values so dominated sets can be memoized per
 (relation, restriction).
+
+Under correlated beliefs, and independent ones on two players (where an
+independent belief is a distribution over the one opponent's strategies),
+`s` is a never best response against a pool exactly when a mixture of the
+pool less `s` beats it: the two LPs are duals (Pearce 1984, Lemma 3).  So
+LP-mode NBR reads the `StrictMixed` memo entry of the same pool flag and
+restriction, and one max-min LP per strategy serves `strict-mixed` and
+both LP modes of `nbr`.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .game import (
     Payoff,
     Restriction,
 )
-from .lp import best_response_feasible, max_min_advantage, pure_best_response
+from .lp import max_min_advantage, pure_best_response
 
 INHERENT_JOINT_CAP = 16
 
@@ -120,33 +128,46 @@ class NeverBestResponse:
         return self.mode
 
     def decide(self, r: Restriction, i: int, s: int) -> Optional[NeverBest]:
-        pool = _pool(self, r, i)
-        # Where the LP decides (correlated beliefs, or independent ones on two
-        # players), a pure best response is already a witness.
-        solved_by_lp = self.mode is BeliefMode.CORRELATED or (
-            self.mode is BeliefMode.MIXED_INDEPENDENT and r.n == 2
-        )
-        if solved_by_lp and pure_best_response(r, i, s, pool) is not None:
-            return None
-        compare = pool if self.global_pool else None
-        if best_response_feasible(r, i, s, self.mode, compare) is not None:
-            return None
-        if self.mode is not BeliefMode.PURE:
+        if self.mode is BeliefMode.PURE:
+            pool = _pool(self, r, i)
+            if pure_best_response(r, i, s, pool) is not None:
+                return None
+            mine, *rows = r.payoff_rows(i, [s, *pool])
+            better = tuple(
+                (opp, next(t for t, row in zip(pool, rows) if row[k] > mine[k]))
+                for k, opp in enumerate(r.opponent_joints(i))
+            )
+            return NeverBest(self.mode, self.global_pool, better)
+        if self.mode is BeliefMode.MIXED_INDEPENDENT and r.n > 2:
+            raise UnsupportedConfiguration(
+                "independent mixed beliefs with 3+ players are not decidable here"
+            )
+        # LP duality: never a best response iff strictly dominated by a mixture.
+        mixed = _dominated_entries(StrictMixed(self.global_pool), r)
+        if any(key == (i, s) for key, _ in mixed):
             return NeverBest(self.mode, self.global_pool)
-        mine, *rows = r.payoff_rows(i, [s, *pool])
-        better = tuple(
-            (opp, next(t for t, row in zip(pool, rows) if row[k] > mine[k]))
-            for k, opp in enumerate(r.opponent_joints(i))
-        )
-        return NeverBest(self.mode, self.global_pool, better)
+        return None
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, NeverBest):
             return False
         if cert.mode != self.mode or cert.global_pool != self.global_pool:
             return False
-        # Recompute the decision; the LP-mode evidence is non-positive.
-        return is_dominated(self, r, i, s) is not None
+        if self.mode is not BeliefMode.PURE:
+            # The LP-mode evidence is the decision itself: recompute it.
+            return not cert.better and is_dominated(self, r, i, s) is not None
+        # One strictly better pool strategy at each opponent joint of R.
+        opps = r.opponent_joints(i)
+        joints = [opp for opp, _ in cert.better]
+        if len(joints) != len(opps) or set(joints) != set(opps):
+            return False
+        pool = _pool(self, r, i)
+        better = [t for _, t in cert.better]
+        if not all(t in pool for t in better):
+            return False
+        mine, *rows = r.payoff_rows(i, [s, *better])
+        ks = r.opponent_positions(i, joints)
+        return all(row[k] > mine[k] for row, k in zip(rows, ks))
 
 
 @dataclass(frozen=True)
@@ -243,8 +264,10 @@ class NeverBest:
     """Evidence that no belief admits `s` as a best response.
 
     In PURE mode `better` pairs each opponent joint with a strictly better
-    pool strategy; in the LP modes infeasibility of the best-response
-    program is the evidence and `better` is empty.
+    pool strategy, and is checked by substitution.  In the LP modes
+    `better` is empty: the evidence is that the best-response program is
+    infeasible, which holds exactly when a mixture of the pool less `s`
+    beats `s`, and the verifier recomputes that decision.
     """
 
     mode: BeliefMode

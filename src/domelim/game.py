@@ -13,10 +13,9 @@ player i and some strategies of G_i, each strategy's payoffs over the
 restriction's opponent joints, in odometer order.  It indexes per-player
 flat payoff tuples by odometer strides, which a `Game` builds on first use
 (not at construction, so generating a corpus stays cheap), and validates
-its arguments once per call.  `Game.payoff` stays the validating accessor
-for single reads.  A `Game` compares by content and hashes its content
-once, so restrictions of one game are cheap memo keys and equal games read
-from separate files still share memo entries.
+its arguments once per call.  A `Game` compares by content and hashes its
+content once, so restrictions of one game are cheap memo keys and equal
+games read from separate files still share memo entries.
 
 The kernel's tables hold a whole payoff as its `int` and any other as its
 `Fraction`.  An `int` compares, hashes and adds exactly like the equal
@@ -24,6 +23,11 @@ The kernel's tables hold a whole payoff as its `int` and any other as its
 integers instead of going through `Fraction`'s rich comparison.  `Game`
 itself keeps `Fraction`s, and the LP builders convert the rows they read
 back to `Fraction` coefficients.
+
+A belief is one type, `CorrelatedBelief`: an exact distribution over
+opponent joints.  A pure belief is its point mass, and on two players an
+independent mixed belief is a distribution over the single opponent's
+strategies, so no other belief type is needed where beliefs are exact.
 """
 
 from __future__ import annotations
@@ -138,24 +142,6 @@ class Game:
         flat = tuple(_as_fraction(x) for row in rows for x in row)
         return cls(tuple(tuple(names) for names in labels), flat)
 
-    def _offset(self, joint: Sequence[int]) -> int:
-        if len(joint) != self.n:
-            raise StructuralError(f"joint has arity {len(joint)}, expected {self.n}")
-        off = 0
-        for idx, size in zip(joint, self.sizes):
-            if not 0 <= idx < size:
-                raise StructuralError(f"strategy index {idx} out of range")
-            off = off * size + idx
-        return off
-
-    def payoff(self, i: int, joint: Sequence[int]) -> Fraction:
-        if not 0 <= i < self.n:
-            raise StructuralError(f"player index {i} out of range")
-        return self.payoffs[self._offset(joint) * self.n + i]
-
-    def joints(self) -> Iterator[tuple[int, ...]]:
-        return product(*(range(s) for s in self.sizes))
-
 
 @dataclass(frozen=True)
 class Restriction:
@@ -226,12 +212,6 @@ class Restriction:
         if k != 0:
             raise StructuralError("opponent joint index out of range")
         return tuple(reversed(out))
-
-    def full_joint(self, i: int, s: int, opp: Sequence[int]) -> tuple[int, ...]:
-        """Insert player `i`'s strategy into an opponent joint."""
-        if len(opp) != self.n - 1:
-            raise StructuralError("opponent joint has wrong arity")
-        return tuple(opp[:i]) + (s,) + tuple(opp[i:])
 
     def payoff_rows(self, i: int, strategies: Sequence[int]) -> list[list[Payoff]]:
         """Player i's payoffs for each of `strategies` (any of G_i) over
@@ -320,22 +300,6 @@ class MixedStrategy:
 
 
 @dataclass(frozen=True)
-class JointPureBelief:
-    """One pure strategy per opponent (players j != player, ascending)."""
-
-    player: int
-    opponents: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MixedProfileBelief:
-    """One independent mixed strategy per opponent, ascending player order."""
-
-    player: int
-    profile: tuple[MixedStrategy, ...]
-
-
-@dataclass(frozen=True)
 class CorrelatedBelief:
     """Exact distribution over opponent joints; positive entries only."""
 
@@ -361,33 +325,13 @@ class CorrelatedBelief:
         return cls(player, kept)
 
 
-Belief = Union[JointPureBelief, MixedProfileBelief, CorrelatedBelief]
-
-
-def expected_payoff(g: Game, i: int, s_i: int, belief: Belief) -> Fraction:
+def expected_payoff(g: Game, i: int, s_i: int, belief: CorrelatedBelief) -> Fraction:
     """Exact expected payoff of playing `s_i` against `belief`."""
+    if not isinstance(belief, CorrelatedBelief):
+        raise StructuralError(f"not a belief: {type(belief).__name__}")
     if belief.player != i:
         raise StructuralError("belief belongs to a different player")
-    if isinstance(belief, JointPureBelief):
-        weighted = [(ONE, belief.opponents)]
-    elif isinstance(belief, CorrelatedBelief):
-        weighted = [(p, opp) for opp, p in belief.probs]
-    elif isinstance(belief, MixedProfileBelief):
-        if len(belief.profile) != g.n - 1:
-            raise StructuralError("profile has wrong arity")
-        opponents = [j for j in range(g.n) if j != i]
-        for m, j in zip(belief.profile, opponents):
-            if m.player != j:
-                raise StructuralError("profile components out of order")
-        weighted = []
-        for combo in product(*(m.weights for m in belief.profile)):
-            prob = ONE
-            for _, w in combo:
-                prob *= w
-            weighted.append((prob, tuple(s for s, _ in combo)))
-    else:
-        raise StructuralError(f"not a belief: {type(belief).__name__}")
     full = Restriction.full(g)
     (row,) = full.payoff_rows(i, [s_i])
-    ks = full.opponent_positions(i, (opp for _, opp in weighted))
-    return sum((p * row[k] for (p, _), k in zip(weighted, ks)), ZERO)
+    ks = full.opponent_positions(i, (opp for opp, _ in belief.probs))
+    return sum((p * row[k] for (_, p), k in zip(belief.probs, ks)), ZERO)

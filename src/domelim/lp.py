@@ -13,14 +13,16 @@ change, so the pivot path is the one a `Fraction` tableau takes (the tests
 keep that tableau as the reference).  The solution is read back as
 `rhs / basic entry` per row, the value as objective . solution.
 
-On top of the solver sit the decision oracles used by the dominance
-relations: the max-min advantage of a mixed strategy pool over a fixed
-pure strategy, best-response feasibility under correlated (or two-player
-independent-mixed) beliefs, and the pure best-response scan.  The two LP
-oracles always solve their LP, so their margins, mixtures and beliefs are
-full answers, and the LP-duality cross-check compares two solved LPs.  The
-dominance layer runs the pure scan first and skips the LP when a pure
-opponent joint already settles the question.
+On top of the solver sit the game-theoretic oracles.  `max_min_advantage`,
+the best guaranteed margin of a pool mixture over a fixed pure strategy,
+is the engine's one LP decision: strict-mixed dominance, and by LP
+duality never-best-response under correlated (or two-player independent)
+beliefs, both read its sign.  `pure_best_response` is the pure scan that
+the dominance layer runs first, skipping the LP when one opponent joint
+already settles the question.  `best_response_feasible` solves the dual
+feasibility LP for a belief against which a strategy is a best response;
+no decision calls it.  It is the witness oracle, and the independent side
+of the duality cross-checks.
 """
 
 from __future__ import annotations
@@ -34,11 +36,8 @@ from .errors import StructuralError, UnsupportedConfiguration
 from .game import (
     ONE,
     ZERO,
-    Belief,
     BeliefMode,
     CorrelatedBelief,
-    JointPureBelief,
-    MixedProfileBelief,
     MixedStrategy,
     Restriction,
 )
@@ -247,24 +246,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
     return LpOutcome(OPTIMAL, value, tuple(solution))
 
 
-def check_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
-    """Exact substitution check of a candidate solution."""
-    if len(x) != len(lp.objective):
-        raise StructuralError("solution has wrong length")
-    for j, xi in enumerate(x):
-        if lp.nonneg[j] and xi < 0:
-            return False
-    for coeffs, cmp, rhs in lp.constraints:
-        lhs = sum((c * xi for c, xi in zip(coeffs, x)), ZERO)
-        if cmp == LEQ and lhs > rhs:
-            return False
-        if cmp == GEQ and lhs < rhs:
-            return False
-        if cmp == EQ and lhs != rhs:
-            return False
-    return True
-
-
 def max_min_advantage(
     r: Restriction, i: int, s: int, pool: Sequence[int]
 ) -> tuple[Fraction, MixedStrategy]:
@@ -317,12 +298,15 @@ def best_response_feasible(
     s: int,
     mode: BeliefMode,
     compare: Optional[Sequence[int]] = None,
-) -> Optional[Belief]:
+) -> Optional[CorrelatedBelief]:
     """Find a belief in R against which `s` is a best response, if any.
 
     The comparison pool defaults to R_i; passing the initial game's full
     strategy set yields the global variant.  Returns None when `s` is a
-    never best response for the given belief set.
+    never best response for the given belief set.  Every belief is a
+    distribution over opponent joints: a point mass under pure beliefs, and
+    on two players an independent belief is one over the single opponent's
+    strategies, which is what the correlated LP finds.
     """
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
@@ -333,9 +317,8 @@ def best_response_feasible(
         )
     if mode is BeliefMode.PURE:
         opp = pure_best_response(r, i, s, pool)
-        return None if opp is None else JointPureBelief(i, opp)
+        return None if opp is None else CorrelatedBelief.of(i, {opp: ONE})
 
-    # Correlated case; with two players the independent case coincides.
     opps = r.opponent_joints(i)
     nv = len(opps)
     mine, *rows = r.payoff_rows(i, [s] + pool)
@@ -349,11 +332,4 @@ def best_response_feasible(
     out = solve(lp)
     if out.status != OPTIMAL:
         return None
-    probs = {opp: p for opp, p in zip(opps, out.solution) if p != 0}
-    if mode is BeliefMode.MIXED_INDEPENDENT:
-        j = 1 - i  # two players only
-        weights: dict[int, Fraction] = {}
-        for opp, p in probs.items():
-            weights[opp[0]] = weights.get(opp[0], ZERO) + p
-        return MixedProfileBelief(i, (MixedStrategy.of(j, weights),))
-    return CorrelatedBelief.of(i, probs)
+    return CorrelatedBelief.of(i, dict(zip(opps, out.solution)))

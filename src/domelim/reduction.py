@@ -54,12 +54,15 @@ class SingleRandom:
 OrderPolicy = Union[FullSpeed, SingleLex, SingleRandom]
 
 
+POLICY_NAMES = {
+    FullSpeed: "fastest",
+    SingleLex: "single-lex",
+    SingleRandom: "single-random",
+}
+
+
 def policy_name(policy: OrderPolicy) -> str:
-    return {
-        FullSpeed: "fastest",
-        SingleLex: "single-lex",
-        SingleRandom: "single-random",
-    }[type(policy)]
+    return POLICY_NAMES[type(policy)]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .dominance import (
 from .errors import InvalidCertificate, StructuralError
 from .game import BeliefMode, Game, MixedStrategy, Restriction
 from .gamefile import format_rational, parse_rational
-from .reduction import Trace, policy_name
+from .reduction import POLICY_NAMES, Trace, policy_name
 
 
 def _label(g: Game, i: int, s: int) -> str:
@@ -194,6 +194,7 @@ def dump_trace(trace: Trace) -> str:
 def verify_trace_document(doc: dict, g: Game) -> None:
     """Replay a trace document against a game; raises on any defect.
 
+    Every step must remove something and name one of the order policies.
     The replayed outcome must be irreducible, so a trace with steps cut
     off its end is rejected.
     """
@@ -205,6 +206,9 @@ def verify_trace_document(doc: dict, g: Game) -> None:
         raise InvalidCertificate("trace labels do not match the game")
     r = Restriction.full(g)
     for step in _field(doc, "steps", list):
+        policy = _field(step, "policy", str)
+        if policy not in POLICY_NAMES.values():
+            raise StructuralError(f"unknown order policy {policy!r}")
         removed = []
         for entry in _field(step, "removed", list):
             player = _field(entry, "player", int)
@@ -220,6 +224,8 @@ def verify_trace_document(doc: dict, g: Game) -> None:
                     "fails re-verification"
                 )
             removed.append((i, s))
+        if not removed:
+            raise InvalidCertificate("a step removes no strategy")
         r = r.remove(removed)
     kept = [[_label(g, i, s) for s in ks] for i, ks in enumerate(r.kept)]
     if kept != _field(_field(doc, "outcome", dict), "kept", list):

@@ -1,7 +1,8 @@
 import pytest
 
-from domelim.fixtures import G_BELIEF, G_MIX, G_ONE, G_PD
 from domelim.game import Restriction
+
+from fixtures import G_BELIEF, G_MIX, G_ONE, G_PD
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .game import Game
+from domelim.game import Game
 
 # Prisoner's dilemma: defecting strictly dominates cooperating.
 G_PD = Game.from_table(

@@ -11,15 +11,20 @@ the reference whose pivot path the integer tableau in `lp.solve` must follow.
 order, the restrictions it admits under every budget.
 `reachable_steps_reference` is the engine's former step walk, which went on
 past its budget without saying so; it marks the steps whose target it left
-out.
+out.  `payoff`, `joints` and `full_joint` read single payoffs straight
+from a game's flat tensor, validating every index, and `check_feasible`
+substitutes a candidate solution into a program: reference readers for
+the engine's payoff kernel and simplex.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 from domelim.dominance import Relation, dominated_set
+from domelim.errors import StructuralError
 from domelim.game import Game, Restriction
 from domelim.lp import (
     EQ,
@@ -37,9 +42,57 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _offset(g: Game, joint) -> int:
+    if len(joint) != g.n:
+        raise StructuralError(f"joint has arity {len(joint)}, expected {g.n}")
+    off = 0
+    for idx, size in zip(joint, g.sizes):
+        if not 0 <= idx < size:
+            raise StructuralError(f"strategy index {idx} out of range")
+        off = off * size + idx
+    return off
+
+
+def payoff(g: Game, i: int, joint) -> Fraction:
+    """Player i's payoff at a full joint, read from the flat tensor."""
+    if not 0 <= i < g.n:
+        raise StructuralError(f"player index {i} out of range")
+    return g.payoffs[_offset(g, joint) * g.n + i]
+
+
+def joints(g: Game):
+    """Every full joint of g, odometer order."""
+    return product(*(range(s) for s in g.sizes))
+
+
+def full_joint(r: Restriction, i: int, s: int, opp) -> tuple[int, ...]:
+    """Insert player `i`'s strategy into an opponent joint."""
+    if len(opp) != r.n - 1:
+        raise StructuralError("opponent joint has wrong arity")
+    return tuple(opp[:i]) + (s,) + tuple(opp[i:])
+
+
+def check_feasible(lp: LinearProgram, x) -> bool:
+    """Exact substitution check of a candidate solution."""
+    if len(x) != len(lp.objective):
+        raise StructuralError("solution has wrong length")
+    for j, xi in enumerate(x):
+        if lp.nonneg[j] and xi < 0:
+            return False
+    for coeffs, cmp, rhs in lp.constraints:
+        lhs = sum((c * xi for c, xi in zip(coeffs, x)), ZERO)
+        if cmp == LEQ and lhs > rhs:
+            return False
+        if cmp == GEQ and lhs < rhs:
+            return False
+        if cmp == EQ and lhs != rhs:
+            return False
+    return True
+
+
 def payoff_row(r: Restriction, i: int, s: int) -> list[Fraction]:
     g = r.game
-    return [g.payoff(i, r.full_joint(i, s, opp)) for opp in r.opponent_joints(i)]
+    return [payoff(g, i, full_joint(r, i, s, opp)) for opp in r.opponent_joints(i)]
 
 
 def pure_dominator_scan(r: Restriction, i: int, s: int, pool) -> int | None:
@@ -55,11 +108,11 @@ def pure_dominator_scan(r: Restriction, i: int, s: int, pool) -> int | None:
 
 def weak_dominator_scan(r: Restriction, i: int, s: int, opp_subset) -> int | None:
     g = r.game
-    base = [g.payoff(i, r.full_joint(i, s, opp)) for opp in opp_subset]
+    base = [payoff(g, i, full_joint(r, i, s, opp)) for opp in opp_subset]
     for t in r.kept[i]:
         if t == s:
             continue
-        row = [g.payoff(i, r.full_joint(i, t, opp)) for opp in opp_subset]
+        row = [payoff(g, i, full_joint(r, i, t, opp)) for opp in opp_subset]
         if all(a >= b for a, b in zip(row, base)) and any(
             a > b for a, b in zip(row, base)
         ):
@@ -71,8 +124,8 @@ def best_response_scan(r: Restriction, i: int, s: int, pool) -> tuple | None:
     """Opponent joint against which s is maximal over pool, if any."""
     g = r.game
     for opp in r.opponent_joints(i):
-        mine = g.payoff(i, r.full_joint(i, s, opp))
-        if all(g.payoff(i, r.full_joint(i, t, opp)) <= mine for t in pool):
+        mine = payoff(g, i, full_joint(r, i, s, opp))
+        if all(payoff(g, i, full_joint(r, i, t, opp)) <= mine for t in pool):
             return opp
     return None
 

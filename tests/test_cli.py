@@ -7,9 +7,10 @@ import pytest
 from domelim import reduction
 from domelim.cli import main
 from domelim.errors import AssumptionViolated
-from domelim.fixtures import G_BELIEF, G_MIX, G_PD
 from domelim.gamefile import write_game
 from domelim.tracedoc import verify_trace_document
+
+from fixtures import G_BELIEF, G_MIX, G_PD
 
 THREE_PLAYER = """\
 players 3

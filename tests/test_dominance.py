@@ -1,12 +1,14 @@
 """The seven relations, certificates, and the persistence construction."""
 
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
+from domelim import dominance, lp
 from domelim.dominance import (
     Inherent,
     Intersection,
@@ -129,6 +131,34 @@ class TestNeverBestCertificates:
             assert verify_certificate(rel, r_belief, 0, 1, cert)
             flipped = replace(cert, global_pool=not global_pool)
             assert not verify_certificate(rel, r_belief, 0, 1, flipped)
+
+    def test_pure_evidence_checked_by_substitution(self, r_belief):
+        # M is never a best response to L or R alone: U beats it at L, D at R.
+        rel = NeverBestResponse(PURE)
+        cert = is_dominated(rel, r_belief, 0, 1)
+        assert cert.better == (((0,), 0), ((1,), 2))
+        assert verify_certificate(rel, r_belief, 0, 1, cert)
+        for better in [
+            (((0,), 1),),  # M itself is not better, and R has no entry
+            (((0,), 0),),  # R has no entry
+            (((0,), 0), ((0,), 0)),  # L twice, R never
+            (((0,), 0), ((1,), 0)),  # U is not better at R
+            (((0,), 0), ((1,), 2), ((1,), 2)),  # R twice
+        ]:
+            assert not verify_certificate(rel, r_belief, 0, 1, replace(cert, better=better))
+
+    def test_pure_evidence_must_name_a_pool_strategy(self):
+        # G_BELIEF with a row X that beats M everywhere; R leaves X out.
+        g = Game.from_table(
+            [["U", "M", "D", "X"], ["L", "R"]],
+            [(3, 0), (0, 0), (2, 0), (2, 0), (0, 0), (3, 0), (4, 0), (4, 0)],
+        )
+        r = Restriction(g, ((0, 1, 2), (0, 1)))
+        cert = NeverBest(PURE, False, (((0,), 3), ((1,), 3)))
+        assert is_dominated(NeverBestResponse(PURE), r, 0, 1) is not None
+        assert not verify_certificate(NeverBestResponse(PURE), r, 0, 1, cert)
+        glob = replace(cert, global_pool=True)
+        assert verify_certificate(NeverBestResponse(PURE, global_pool=True), r, 0, 1, glob)
 
 
 class TestWeaklyDominatesPure:
@@ -320,6 +350,34 @@ class TestPureWitnessPrefilter:
                     }
                     rel = NeverBestResponse(mode, global_pool=global_pool)
                     assert dominated_set(rel, r, validate=False) == expected
+
+
+class TestNeverBestResponseFold:
+    """Under correlated beliefs, and independent ones on two players, `nbr`
+    is decided by the strict-mixed memo: no feasibility LP runs."""
+
+    def test_lp_modes_read_the_strict_mixed_entries(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("best_response_feasible decided a relation")
+
+        original = lp.best_response_feasible
+        for name, module in list(sys.modules.items()):
+            if name == "domelim" or name.startswith("domelim."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        dominance._dominated_entries.cache_clear()
+        dominated = 0
+        for r in _random_restrictions(41, 40):
+            for global_pool in (False, True):
+                keys = dominated_set(StrictMixed(global_pool), r, validate=False)
+                dominated += len(keys)
+                for mode in (CORR, BeliefMode.MIXED_INDEPENDENT) if r.n == 2 else (CORR,):
+                    rel = NeverBestResponse(mode, global_pool)
+                    assert dominated_set(rel, r, validate=False) == {
+                        key: NeverBest(mode, global_pool) for key in keys
+                    }
+        assert dominated > 0
 
 
 class TestIntersectionEntries:

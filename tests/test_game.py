@@ -11,8 +11,6 @@ from domelim.errors import StructuralError
 from domelim.game import (
     CorrelatedBelief,
     Game,
-    JointPureBelief,
-    MixedProfileBelief,
     MixedStrategy,
     Restriction,
     expected_payoff,
@@ -20,6 +18,8 @@ from domelim.game import (
 )
 from domelim.gamefile import parse_game
 from domelim.generate import random_game
+
+from oracles import full_joint, joints, payoff
 
 
 class TestGameConstruction:
@@ -82,29 +82,29 @@ class TestGameIdentity:
 
 class TestPayoffPure:
     def test_pd_cooperate(self, g_pd):
-        assert g_pd.payoff(0, (0, 0)) == 2
+        assert payoff(g_pd, 0, (0, 0)) == 2
 
     def test_one_by_one(self, g_one):
-        assert g_one.payoff(0, (0, 0)) == 0
-        assert g_one.payoff(1, (0, 0)) == 0
+        assert payoff(g_one, 0, (0, 0)) == 0
+        assert payoff(g_one, 1, (0, 0)) == 0
 
     def test_mix_column_all_zero(self, g_mix):
-        for joint in g_mix.joints():
-            assert g_mix.payoff(1, joint) == 0
+        for joint in joints(g_mix):
+            assert payoff(g_mix, 1, joint) == 0
 
     def test_out_of_bounds(self, g_pd):
         with pytest.raises(StructuralError):
-            g_pd.payoff(0, (2, 0))
+            payoff(g_pd, 0, (2, 0))
         with pytest.raises(StructuralError):
-            g_pd.payoff(2, (0, 0))
+            payoff(g_pd, 2, (0, 0))
 
     def test_total_on_random_games(self):
         rng = random.Random(1)
         for _ in range(10):
             g = random_game(rng, rng.choice([2, 3]))
-            for joint in g.joints():
+            for joint in joints(g):
                 for i in range(g.n):
-                    g.payoff(i, joint)
+                    payoff(g, i, joint)
 
 
 class TestExpectedPayoff:
@@ -119,8 +119,8 @@ class TestExpectedPayoff:
     def test_joint_pure_degenerate(self, g_pd):
         for s in range(2):
             for o in range(2):
-                b = JointPureBelief(0, (o,))
-                assert expected_payoff(g_pd, 0, s, b) == g_pd.payoff(0, (s, o))
+                b = CorrelatedBelief.of(0, {(o,): F(1)})
+                assert expected_payoff(g_pd, 0, s, b) == payoff(g_pd, 0, (s, o))
 
     def test_point_mass_correlated_equals_pure(self):
         rng = random.Random(2)
@@ -131,43 +131,13 @@ class TestExpectedPayoff:
                 for opp in r.opponent_joints(i):
                     mu = CorrelatedBelief.of(i, {opp: F(1)})
                     for s in range(g.sizes[i]):
-                        assert expected_payoff(g, i, s, mu) == g.payoff(
-                            i, r.full_joint(i, s, opp)
+                        assert expected_payoff(g, i, s, mu) == payoff(
+                            g, i, full_joint(r, i, s, opp)
                         )
-
-    def test_profile_of_points_equals_joint_pure(self):
-        rng = random.Random(3)
-        for _ in range(5):
-            g = random_game(rng, 3)
-            r = Restriction.full(g)
-            for i in range(g.n):
-                opponents = [j for j in range(g.n) if j != i]
-                for opp in r.opponent_joints(i):
-                    profile = MixedProfileBelief(
-                        i, tuple(MixedStrategy.point(j, s) for j, s in zip(opponents, opp))
-                    )
-                    for s in range(g.sizes[i]):
-                        assert expected_payoff(g, i, s, profile) == expected_payoff(
-                            g, i, s, JointPureBelief(i, opp)
-                        )
-
-    def test_two_player_profile_matches_correlated(self):
-        rng = random.Random(4)
-        for _ in range(5):
-            g = random_game(rng, 2)
-            for i in range(2):
-                j = 1 - i
-                weights = {s: F(1, g.sizes[j]) for s in range(g.sizes[j])}
-                profile = MixedProfileBelief(i, (MixedStrategy.of(j, weights),))
-                corr = CorrelatedBelief.of(i, {(s,): w for s, w in weights.items()})
-                for s in range(g.sizes[i]):
-                    assert expected_payoff(g, i, s, profile) == expected_payoff(
-                        g, i, s, corr
-                    )
 
     def test_wrong_player_rejected(self, g_pd):
         with pytest.raises(StructuralError):
-            expected_payoff(g_pd, 0, 0, JointPureBelief(1, (0,)))
+            expected_payoff(g_pd, 0, 0, CorrelatedBelief.of(1, {(0,): F(1)}))
 
 
 class TestRestriction:
@@ -278,7 +248,7 @@ class TestPayoffRows:
                 assert len(rows) == len(strategies)
                 for t, row in zip(strategies, rows):
                     assert row == [
-                        g.payoff(i, r.full_joint(i, t, opp)) for opp in r.opponent_joints(i)
+                        payoff(g, i, full_joint(r, i, t, opp)) for opp in r.opponent_joints(i)
                     ]
 
     def test_rows_reject_bad_indices(self, r_pd):

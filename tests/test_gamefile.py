@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from domelim.errors import DomelimError, GameParseError
-from domelim.fixtures import G_ONE, G_PD
 from domelim.gamefile import format_rational, parse_game, parse_rational, write_game
 from domelim.generate import random_game
+
+from fixtures import G_ONE, G_PD
+from oracles import payoff
 
 G_PD_TEXT = """\
 players 2
@@ -27,7 +29,7 @@ class TestParse:
     def test_pd_document(self):
         g = parse_game(G_PD_TEXT)
         assert g == G_PD
-        assert g.payoff(0, (0, 0)) == 2
+        assert payoff(g, 0, (0, 0)) == 2
 
     def test_minimal_game(self):
         text = "players 2\nlabels 1: A\nlabels 2: X\npayoffs\n0 0\n"
@@ -36,8 +38,8 @@ class TestParse:
     def test_rational_syntax(self):
         text = "players 2\nlabels 1: A\nlabels 2: X\npayoffs\n1/2 -3\n"
         g = parse_game(text)
-        assert g.payoff(0, (0, 0)) == F(1, 2)
-        assert g.payoff(1, (0, 0)) == -3
+        assert payoff(g, 0, (0, 0)) == F(1, 2)
+        assert payoff(g, 1, (0, 0)) == -3
 
     def test_comments_and_blank_lines(self):
         text = "# a game\n\nplayers 2 # two\nlabels 1: A\nlabels 2: X\n\npayoffs\n0 0\n"

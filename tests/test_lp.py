@@ -19,13 +19,13 @@ from domelim.lp import (
     UNBOUNDED,
     LinearProgram,
     best_response_feasible,
-    check_feasible,
     max_min_advantage,
     solve,
 )
 
 from oracles import (
     best_response_scan,
+    check_feasible,
     fraction_simplex,
     grid_refutes_mixed_dominance,
     maxmin_two_support,
@@ -249,6 +249,10 @@ class TestBestResponseFeasible:
         assert best_response_feasible(r_belief, 0, 1, BeliefMode.PURE) is None
         assert best_response_scan(r_belief, 0, 1, r_belief.kept[0]) is None
 
+    def test_pure_witness_is_a_point_mass(self, r_belief):
+        mu = best_response_feasible(r_belief, 0, 0, BeliefMode.PURE)
+        assert mu == CorrelatedBelief.of(0, {(0,): F(1)})
+
     def test_belief_middle_correlated_witness(self, r_belief):
         mu = best_response_feasible(r_belief, 0, 1, BeliefMode.CORRELATED)
         assert isinstance(mu, CorrelatedBelief)
@@ -261,7 +265,8 @@ class TestBestResponseFeasible:
 
     def test_mixed_independent_two_players(self, r_belief):
         witness = best_response_feasible(r_belief, 0, 1, BeliefMode.MIXED_INDEPENDENT)
-        assert witness is not None
+        assert isinstance(witness, CorrelatedBelief)
+        assert all(len(opp) == 1 for opp, _ in witness.probs)
         mine = expected_payoff(r_belief.game, 0, 1, witness)
         for t in r_belief.kept[0]:
             assert expected_payoff(r_belief.game, 0, t, witness) <= mine

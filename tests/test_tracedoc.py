@@ -15,7 +15,6 @@ from domelim.dominance import (
     StrictPure,
 )
 from domelim.errors import DomelimError, InvalidCertificate, StructuralError
-from domelim.fixtures import G_BELIEF, G_MIX, G_PD
 from domelim.game import BeliefMode
 from domelim.generate import random_game
 from domelim.reduction import FullSpeed, SingleLex, normal_form
@@ -25,6 +24,8 @@ from domelim.tracedoc import (
     trace_to_document,
     verify_trace_document,
 )
+
+from fixtures import G_BELIEF, G_MIX, G_PD
 
 
 def roundtrip(trace, game):
@@ -93,6 +94,15 @@ class TestTraceDocuments:
         doc["outcome"]["kept"] = [["C", "D"], ["C", "D"]]
         with pytest.raises(InvalidCertificate):
             verify_trace_document(doc, G_PD)
+
+    def test_cut_pure_nbr_evidence_rejected(self):
+        trace = normal_form(NeverBestResponse(BeliefMode.PURE), G_BELIEF, SingleLex())
+        doc = trace_to_document(trace)
+        entry = doc["steps"][0]["removed"][0]
+        assert entry["strategy"] == "M"
+        entry["certificate"]["evidence"] = [{"belief": ["L"], "better": "M"}]
+        with pytest.raises(InvalidCertificate):
+            verify_trace_document(doc, G_BELIEF)
 
     def test_wrong_game_rejected(self):
         doc = trace_to_document(normal_form(StrictPure(), G_PD, FullSpeed()))
@@ -177,6 +187,18 @@ class TestMalformedDocuments:
     def test_document_ends_in_a_domain_error(self, mutate):
         doc = mutate(trace_to_document(normal_form(StrictPure(), G_PD, FullSpeed())))
         with pytest.raises((StructuralError, InvalidCertificate)):
+            verify_trace_document(doc, G_PD)
+
+    def test_step_removing_nothing_rejected(self):
+        doc = trace_to_document(normal_form(StrictPure(), G_PD, FullSpeed()))
+        doc["steps"].append({"removed": [], "policy": "fastest"})
+        with pytest.raises(InvalidCertificate):
+            verify_trace_document(doc, G_PD)
+
+    def test_unknown_policy_rejected(self):
+        doc = trace_to_document(normal_form(StrictPure(), G_PD, FullSpeed()))
+        doc["steps"][0]["policy"] = "nonsense"
+        with pytest.raises(StructuralError):
             verify_trace_document(doc, G_PD)
 
     @pytest.mark.parametrize(
