@@ -211,8 +211,10 @@ def _cmd_check(args) -> int:
         games = [
             random_game(rng, 2 if k % 5 else 3) for k in range(args.random_count)
         ]
-    for g in games:
-        witness = _check_one_game(args, rel, g, rng)
+    # Draw every game first, so `rng` gives the same samples; drop each once checked.
+    games.reverse()
+    while games:
+        witness = _check_one_game(args, rel, games.pop(), rng)
         if witness is not None:
             print(witness)
             return EXIT_VIOLATION

@@ -18,7 +18,7 @@ opponent joints, independent mixtures (exact on two players only), or
 correlated distributions.  Each class owns its `name`, its `belief_mode`,
 its decision `decide(r, i, s)` and its check `verify(r, i, s, cert)`.
 Relations are hashable values so dominated sets can be memoized per
-(relation, restriction).
+(relation, restriction), on the restriction's game.
 
 Under correlated beliefs, and independent ones on two players (where an
 independent belief is a distribution over the one opponent's strategies),
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -130,21 +129,21 @@ class NeverBestResponse:
     def decide(self, r: Restriction, i: int, s: int) -> Optional[NeverBest]:
         if self.mode is BeliefMode.PURE:
             pool = _pool(self, r, i)
-            if pure_best_response(r, i, s, pool) is not None:
-                return None
             mine, *rows = r.payoff_rows(i, [s, *pool])
-            better = tuple(
-                (opp, next(t for t, row in zip(pool, rows) if row[k] > mine[k]))
-                for k, opp in enumerate(r.opponent_joints(i))
-            )
-            return NeverBest(self.mode, self.global_pool, better)
+            better = []
+            for k, m in enumerate(mine):
+                # The first strictly better pool strategy, else s is a best response.
+                t = next((t for t, row in zip(pool, rows) if row[k] > m), None)
+                if t is None:
+                    return None
+                better.append((r.opponent_joint(i, k), t))
+            return NeverBest(self.mode, self.global_pool, tuple(better))
         if self.mode is BeliefMode.MIXED_INDEPENDENT and r.n > 2:
             raise UnsupportedConfiguration(
                 "independent mixed beliefs with 3+ players are not decidable here"
             )
         # LP duality: never a best response iff strictly dominated by a mixture.
-        mixed = _dominated_entries(StrictMixed(self.global_pool), r)
-        if any(key == (i, s) for key, _ in mixed):
+        if (i, s) in _dominated_entries(StrictMixed(self.global_pool), r):
             return NeverBest(self.mode, self.global_pool)
         return None
 
@@ -360,10 +359,10 @@ def is_inherently_dominated(
             f"{INHERENT_JOINT_CAP}"
         )
     rivals = [t for t in r.kept[i] if t != s]
-    # Quick refutation: a singleton subset needs a strictly better rival.
-    if pure_best_response(r, i, s, rivals) is not None:
-        return False, None
     mine, *rows = r.payoff_rows(i, [s] + rivals)
+    # Quick refutation: a singleton subset needs a strictly better rival.
+    if any(all(row[k] <= m for row in rows) for k, m in enumerate(mine)):
+        return False, None
     found: list[tuple[tuple[tuple[int, ...], ...], int]] = []
     for subset, ks in zip(_nonempty_subsets(opps), _nonempty_subsets(range(len(opps)))):
         dom = next(
@@ -380,52 +379,44 @@ def is_inherently_dominated(
 
 
 def is_dominated(rel: Relation, r: Restriction, i: int, s: int) -> Optional[Certificate]:
-    """Certificate if (i, s) is rel-dominated in r, else None.
-
-    Answers come from the memoized per-restriction dominated set, so
-    repeated membership queries against one restriction cost one scan.
-    """
+    """Certificate if (i, s) is rel-dominated in r, else None; read from the memo."""
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
-    for key, cert in _dominated_entries(rel, r):
-        if key == (i, s):
-            return cert
-    return None
+    return _dominated_entries(rel, r).get((i, s))
 
 
-@lru_cache(maxsize=None)
-def _dominated_entries(
-    rel: Relation, r: Restriction
-) -> tuple[tuple[tuple[int, int], Certificate], ...]:
-    """The memo: (strategy, certificate) pairs in canonical order.
+def _dominated_entries(rel: Relation, r: Restriction) -> dict[tuple[int, int], Certificate]:
+    """The memo: rel's dominated strategies of r with certificates, in
+    canonical order, kept in `r.game.memo` for as long as the game lives.
 
-    Pairs, not a dict: dominated sets are a few entries long, and a dict per
-    memoized restriction costs about a tenth more peak memory on a full
-    order search.  An intersection keeps the keys every part dominates,
-    reading each part's entries once.  Parts are read in order and the scan
-    stops once no key is left, so a part is evaluated exactly when some
-    strategy is dominated under every earlier part.
+    Callers must not mutate the dict.  An intersection keeps the keys every
+    part dominates, reading each part's entries once.  Parts are read in
+    order and the scan stops once no key is left, so a part is evaluated
+    exactly when some strategy is dominated under every earlier part.
     """
+    memo = r.game.memo
+    out = memo.get((rel, r))
+    if out is not None:
+        return out
     if isinstance(rel, Intersection):
-        parts = [dict(_dominated_entries(rel.parts[0], r))]
+        parts = [_dominated_entries(rel.parts[0], r)]
         keys = list(parts[0])
         for part in rel.parts[1:]:
             if not keys:
-                return ()
-            certs = dict(_dominated_entries(part, r))
+                break
+            certs = _dominated_entries(part, r)
             keys = [key for key in keys if key in certs]
             parts.append(certs)
-        return tuple(
-            (key, IntersectionEvidence(tuple(certs[key] for certs in parts)))
-            for key in keys
-        )
-    decide = rel.decide
-    out = []
-    for i, s in r.strategies():
-        cert = decide(r, i, s)
-        if cert is not None:
-            out.append(((i, s), cert))
-    return tuple(out)
+        out = {key: IntersectionEvidence(tuple(c[key] for c in parts)) for key in keys}
+    else:
+        decide = rel.decide
+        out = {}
+        for i, s in r.strategies():
+            cert = decide(r, i, s)
+            if cert is not None:
+                out[(i, s)] = cert
+    memo[(rel, r)] = out
+    return out
 
 
 def dominated_set(
@@ -440,7 +431,7 @@ def dominated_set(
     entries = _dominated_entries(rel, r)
     if validate:
         dominated_count = [0] * r.n
-        for (i, _), _cert in entries:
+        for i, _ in entries:
             dominated_count[i] += 1
         for i, ks in enumerate(r.kept):
             if dominated_count[i] == len(ks):

@@ -173,7 +173,10 @@ class TestCheck:
             ]
         )
         assert code == 4
-        assert "violation" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "monotonicity violation: player 1 strategy 's1' dominated in R but not "
+            "in R' for R=((0, 1, 2), (0,), (1,)) R'=((0, 1), (0,), (1,))\n"
+        )
 
     def test_proof_shape(self, belief_file, capsys):
         code = main(

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from domelim import dominance, lp
+from domelim import lp
 from domelim.dominance import (
     Inherent,
     Intersection,
@@ -238,26 +238,12 @@ class TestInclusionChains:
         (StrictPure(), Inherent()),
     ]
 
-    def _restrictions(self):
-        rng = random.Random(31)
-        out = []
-        for k in range(12):
-            g = random_game(rng, 3 if k % 4 == 0 else 2)
-            out.append(Restriction.full(g))
-        return out
-
     def test_subset_pairs(self, r_pd, r_mix, r_belief, r_one):
-        for r in [r_pd, r_mix, r_belief, r_one] + self._restrictions():
+        for r in [r_pd, r_mix, r_belief, r_one] + _full_restrictions(31, 12, 4):
             for small, big in self.REL_PAIRS:
                 d_small = set(dominated_set(small, r, validate=False))
                 d_big = set(dominated_set(big, r, validate=False))
                 assert d_small <= d_big, (small.name, big.name)
-
-    def test_mixed_equals_nbr_correlated(self, r_pd, r_mix, r_belief, r_one):
-        for r in [r_pd, r_mix, r_belief, r_one] + self._restrictions():
-            assert set(dominated_set(StrictMixed(), r, validate=False)) == set(
-                dominated_set(NeverBestResponse(CORR), r, validate=False)
-            )
 
     def test_local_equals_global_on_full_game(self, g_pd, g_mix, g_belief):
         pairs = [
@@ -273,15 +259,6 @@ class TestInclusionChains:
                     dominated_set(global_, r, validate=False)
                 )
 
-    def test_nbr_independent_matches_correlated_two_players(self):
-        rng = random.Random(32)
-        for _ in range(10):
-            g = random_game(rng, 2)
-            r = Restriction.full(g)
-            assert set(
-                dominated_set(NeverBestResponse(BeliefMode.MIXED_INDEPENDENT), r, validate=False)
-            ) == set(dominated_set(NeverBestResponse(CORR), r, validate=False))
-
     def test_intersection_is_set_intersection(self, r_pd, r_belief):
         rel = Intersection((StrictPure(), NeverBestResponse(PURE)))
         for r in (r_pd, r_belief):
@@ -289,6 +266,18 @@ class TestInclusionChains:
                 dominated_set(NeverBestResponse(PURE), r, validate=False)
             )
             assert set(dominated_set(rel, r, validate=False)) == expected
+
+
+def _full_restrictions(seed, count, three_player_every=None):
+    """Full random games; every `three_player_every`-th (from the first)
+    has three players, the rest two."""
+    rng = random.Random(seed)
+    return [
+        Restriction.full(
+            random_game(rng, 3 if three_player_every and k % three_player_every == 0 else 2)
+        )
+        for k in range(count)
+    ]
 
 
 def _random_restrictions(seed, count):
@@ -325,9 +314,15 @@ class TestPureWitnessPrefilter:
                     assert best_response_feasible(r, i, s, CORR, compare) is not None
         assert hits > 0
 
-    def test_dominated_sets_match_lp_oracles(self):
+    def test_dominated_sets_match_lp_oracles(self, r_pd, r_mix, r_belief, r_one):
         mixed = BeliefMode.MIXED_INDEPENDENT
-        for r in _random_restrictions(42, 30):
+        restrictions = (
+            [r_pd, r_mix, r_belief, r_one]
+            + _full_restrictions(31, 12, 4)
+            + _full_restrictions(32, 10)
+            + _random_restrictions(42, 30)
+        )
+        for r in restrictions:
             g = r.game
             full_pools = [tuple(range(size)) for size in g.sizes]
             for global_pool in (False, True):
@@ -366,7 +361,6 @@ class TestNeverBestResponseFold:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, refuse)
-        dominance._dominated_entries.cache_clear()
         dominated = 0
         for r in _random_restrictions(41, 40):
             for global_pool in (False, True):

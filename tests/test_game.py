@@ -60,7 +60,7 @@ class TestGameConstruction:
 
 
 class TestGameIdentity:
-    def test_equal_games_hash_equal_and_share_a_memo_entry(self, g_pd):
+    def test_equal_games_hash_equal_and_keep_their_own_memo(self, g_pd):
         g1 = Game.from_table(g_pd.labels, [g_pd.payoffs[k : k + 2] for k in range(0, 8, 2)])
         g2 = Game.from_table(g_pd.labels, [g_pd.payoffs[k : k + 2] for k in range(0, 8, 2)])
         assert g1 is not g2
@@ -68,8 +68,9 @@ class TestGameIdentity:
         assert hash(g1) == hash(g1)
         rel = dominance.StrictPure()
         entries = dominance._dominated_entries(rel, Restriction.full(g1))
-        assert entries  # a fresh tuple, so `is` below means one memo entry
-        assert dominance._dominated_entries(rel, Restriction.full(g2)) is entries
+        assert entries
+        assert g1.memo[(rel, Restriction.full(g1))] is entries
+        assert (rel, Restriction.full(g2)) not in g2.memo
 
     def test_one_payoff_apart_compares_unequal(self):
         g1 = random_game(random.Random(7), 2)

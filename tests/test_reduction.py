@@ -1,6 +1,8 @@
 """Reduction steps, traces, outcome search, and the step-level checkers."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -162,6 +164,16 @@ class TestAllOutcomes:
                     assert got == all_outcomes_reference(rel, g, budget), (rel, budget)
                     cut += not got.complete
         assert cut > 0  # budgets below the full size do cut some searches off
+
+    def test_game_and_its_memo_are_freed_once_dropped(self):
+        g = random_game(random.Random(9), 2)
+        rel = Intersection((StrictPure(), NeverBestResponse(BeliefMode.CORRELATED)))
+        search = all_outcomes(rel, g)
+        assert search.complete and g.memo
+        ref = weakref.ref(g)
+        del g, search
+        gc.collect()
+        assert ref() is None
 
     def test_agrees_with_policy_outcomes(self):
         rng = random.Random(51)
