@@ -49,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise StructuralError(message)
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="domelim", description="Iterated dominance elimination engine")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,11 +87,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("orders", help="enumerate all elimination outcomes")
     p.add_argument("file")
     add_relation(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("check", help="check hereditarity/monotonicity/proof shape")
     p.add_argument("file", nargs="?")
-    p.add_argument("--random", type=int, dest="random_count")
+    p.add_argument("--random", type=_count, dest="random_count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--property",

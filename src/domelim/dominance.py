@@ -16,9 +16,22 @@ there, together with a certificate that re-verifies by substitution:
 the "global" variant.  `mode` is what an NBR belief ranges over: pure
 opponent joints, independent mixtures (exact on two players only), or
 correlated distributions.  Each class owns its `name`, its `belief_mode`,
-its decision `decide(r, i, s)` and its check `verify(r, i, s, cert)`.
-Relations are hashable values so dominated sets can be memoized per
-(relation, restriction), on the restriction's game.
+its decision `dominated(r, i)`, which yields player i's dominated
+strategies with their certificates in R_i order, and its check
+`verify(r, i, s, cert)`.  Relations are hashable values so dominated sets
+can be memoized per (relation, restriction), on the restriction's game.
+
+A decision reads player i's payoff rows over the pool once, with the
+pool's column maxima (one column per opponent joint of R).  A strategy of
+R_i whose row meets some column maximum is a best response to that joint
+(Pearce 1984), so it is dominated under none of the relations: no pure or
+mixed pool strategy beats it there, a pure belief makes it a best
+response, and the singleton subset of that joint refutes its inherent
+dominance.  Only the strategies meeting no column maximum are examined
+further, and under pure beliefs each of them is a never best response.
+Certificates are canonical: the first dominator in pool order, the first
+better pool strategy at each joint, and the first weak dominator on each
+subset of joints in odometer order.
 
 Under correlated beliefs, and independent ones on two players (where an
 independent belief is a distribution over the one opponent's strategies),
@@ -33,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     AssumptionViolated,
@@ -50,7 +63,7 @@ from .game import (
     Payoff,
     Restriction,
 )
-from .lp import max_min_advantage, pure_best_response
+from .lp import max_min_advantage
 
 INHERENT_JOINT_CAP = 16
 
@@ -73,13 +86,13 @@ class StrictPure:
     def name(self) -> str:
         return "global-strict-pure" if self.global_pool else "strict-pure"
 
-    def decide(self, r: Restriction, i: int, s: int) -> Optional[PureDominator]:
+    def dominated(self, r: Restriction, i: int) -> Iterator[tuple[int, PureDominator]]:
         pool = _pool(self, r, i)
-        mine, *rows = r.payoff_rows(i, [s, *pool])
-        for t, row in zip(pool, rows):
-            if t != s and _above(row, mine):
-                return PureDominator(t)
-        return None
+        rows, candidates = _candidates(r, i, pool)
+        for s, mine in candidates:
+            t = next((t for t, row in zip(pool, rows) if _above(row, mine)), None)
+            if t is not None:
+                yield s, PureDominator(t)
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, PureDominator) or cert.strategy not in _pool(self, r, i):
@@ -96,13 +109,12 @@ class StrictMixed:
     def name(self) -> str:
         return "global-strict-mixed" if self.global_pool else "strict-mixed"
 
-    def decide(self, r: Restriction, i: int, s: int) -> Optional[MixedDominator]:
-        pool = [t for t in _pool(self, r, i) if t != s]
-        # A pure best response of s settles it: eps <= 0 without the LP.
-        if not pool or pure_best_response(r, i, s, pool) is not None:
-            return None
-        eps, mixed = max_min_advantage(r, i, s, pool)
-        return MixedDominator(mixed, eps) if eps > 0 else None
+    def dominated(self, r: Restriction, i: int) -> Iterator[tuple[int, MixedDominator]]:
+        pool = _pool(self, r, i)
+        for s, _ in _candidates(r, i, pool)[1]:
+            eps, mixed = max_min_advantage(r, i, s, [t for t in pool if t != s])
+            if eps > 0:
+                yield s, MixedDominator(mixed, eps)
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, MixedDominator) or cert.eps <= 0:
@@ -126,26 +138,28 @@ class NeverBestResponse:
     def belief_mode(self) -> BeliefMode:
         return self.mode
 
-    def decide(self, r: Restriction, i: int, s: int) -> Optional[NeverBest]:
+    def dominated(self, r: Restriction, i: int) -> Iterator[tuple[int, NeverBest]]:
         if self.mode is BeliefMode.PURE:
+            # A strategy meeting no column maximum is beaten at every joint.
             pool = _pool(self, r, i)
-            mine, *rows = r.payoff_rows(i, [s, *pool])
-            better = []
-            for k, m in enumerate(mine):
-                # The first strictly better pool strategy, else s is a best response.
-                t = next((t for t, row in zip(pool, rows) if row[k] > m), None)
-                if t is None:
-                    return None
-                better.append((r.opponent_joint(i, k), t))
-            return NeverBest(self.mode, self.global_pool, tuple(better))
+            rows, candidates = _candidates(r, i, pool)
+            opps = r.opponent_joints(i) if candidates else ()
+            for s, mine in candidates:
+                better = tuple(
+                    (opp, next(t for t, row in zip(pool, rows) if row[k] > m))
+                    for k, (opp, m) in enumerate(zip(opps, mine))
+                )
+                yield s, NeverBest(self.mode, self.global_pool, better)
+            return
         if self.mode is BeliefMode.MIXED_INDEPENDENT and r.n > 2:
             raise UnsupportedConfiguration(
                 "independent mixed beliefs with 3+ players are not decidable here"
             )
         # LP duality: never a best response iff strictly dominated by a mixture.
-        if (i, s) in _dominated_entries(StrictMixed(self.global_pool), r):
-            return NeverBest(self.mode, self.global_pool)
-        return None
+        mixed = _dominated_entries(StrictMixed(self.global_pool), r)
+        for s in r.kept[i]:
+            if (i, s) in mixed:
+                yield s, NeverBest(self.mode, self.global_pool)
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, NeverBest):
@@ -174,9 +188,14 @@ class Inherent:
     name = "inherent"
     belief_mode = None
 
-    def decide(self, r: Restriction, i: int, s: int) -> Optional[InherentEvidence]:
-        ok, ev = is_inherently_dominated(r, i, s)
-        return ev if ok else None
+    def dominated(self, r: Restriction, i: int) -> Iterator[tuple[int, InherentEvidence]]:
+        opps = _inherent_joints(r, i)
+        pool = r.kept[i]
+        rows, candidates = _candidates(r, i, pool)
+        for s, mine in candidates:
+            ev = _inherent_evidence(opps, pool, rows, mine)
+            if ev is not None:
+                yield s, ev
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, InherentEvidence):
@@ -338,12 +357,51 @@ def _weakly_above(a: Sequence[Payoff], b: Sequence[Payoff], ks: Sequence[int]) -
     return strict
 
 
-def _nonempty_subsets(items: Sequence) -> list[tuple]:
+def _nonempty_subsets(items: Sequence) -> Iterator[tuple]:
     """All nonempty subsets, bitmask odometer order (low bit = first item)."""
-    out = []
     for mask in range(1, 1 << len(items)):
-        out.append(tuple(x for k, x in enumerate(items) if mask >> k & 1))
-    return out
+        yield tuple(x for k, x in enumerate(items) if mask >> k & 1)
+
+
+def _candidates(
+    r: Restriction, i: int, pool: Sequence[int]
+) -> tuple[list[list[Payoff]], list[tuple[int, list[Payoff]]]]:
+    """Player i's payoff rows over `pool`, which holds R_i, and the
+    strategies of R_i that meet no column maximum, each with its row: the
+    only ones any relation can dominate (see the module docstring)."""
+    rows = r.payoff_rows(i, pool)
+    tops = [max(column) for column in zip(*rows)]
+    row_of = dict(zip(pool, rows))
+    return rows, [(s, row_of[s]) for s in r.kept[i] if _above(tops, row_of[s])]
+
+
+def _inherent_joints(r: Restriction, i: int) -> tuple[tuple[int, ...], ...]:
+    """Player i's opponent joints, within the cap on their subsets."""
+    opps = r.opponent_joints(i)
+    if len(opps) > INHERENT_JOINT_CAP:
+        raise UnsupportedConfiguration(
+            f"{len(opps)} opponent joints exceed the inherent-dominance cap "
+            f"{INHERENT_JOINT_CAP}"
+        )
+    return opps
+
+
+def _inherent_evidence(
+    opps: Sequence[tuple[int, ...]],
+    pool: Sequence[int],
+    rows: Sequence[Sequence[Payoff]],
+    mine: Sequence[Payoff],
+) -> Optional[InherentEvidence]:
+    """The first pool strategy weakly above `mine` on each nonempty subset
+    of `opps` (the columns of `rows`), in odometer order; None once a
+    subset has none.  A row equal to `mine` is never weakly above it."""
+    found = []
+    for ks in _nonempty_subsets(range(len(opps))):
+        dom = next((t for t, row in zip(pool, rows) if _weakly_above(row, mine, ks)), None)
+        if dom is None:
+            return None
+        found.append((ks, dom))
+    return InherentEvidence(tuple((tuple(opps[k] for k in ks), t) for ks, t in found))
 
 
 def is_inherently_dominated(
@@ -352,26 +410,10 @@ def is_inherently_dominated(
     """Weakly dominated given every nonempty subset of opponent joints."""
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
-    opps = r.opponent_joints(i)
-    if len(opps) > INHERENT_JOINT_CAP:
-        raise UnsupportedConfiguration(
-            f"{len(opps)} opponent joints exceed the inherent-dominance cap "
-            f"{INHERENT_JOINT_CAP}"
-        )
-    rivals = [t for t in r.kept[i] if t != s]
-    mine, *rows = r.payoff_rows(i, [s] + rivals)
-    # Quick refutation: a singleton subset needs a strictly better rival.
-    if any(all(row[k] <= m for row in rows) for k, m in enumerate(mine)):
-        return False, None
-    found: list[tuple[tuple[tuple[int, ...], ...], int]] = []
-    for subset, ks in zip(_nonempty_subsets(opps), _nonempty_subsets(range(len(opps)))):
-        dom = next(
-            (t for t, row in zip(rivals, rows) if _weakly_above(row, mine, ks)), None
-        )
-        if dom is None:
-            return False, None
-        found.append((subset, dom))
-    return True, InherentEvidence(tuple(found))
+    opps = _inherent_joints(r, i)
+    mine, *rows = r.payoff_rows(i, [s, *r.kept[i]])
+    ev = _inherent_evidence(opps, r.kept[i], rows, mine)
+    return ev is not None, ev
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +451,7 @@ def _dominated_entries(rel: Relation, r: Restriction) -> dict[tuple[int, int], C
             parts.append(certs)
         out = {key: IntersectionEvidence(tuple(c[key] for c in parts)) for key in keys}
     else:
-        decide = rel.decide
-        out = {}
-        for i, s in r.strategies():
-            cert = decide(r, i, s)
-            if cert is not None:
-                out[(i, s)] = cert
+        out = {(i, s): cert for i in range(r.n) for s, cert in rel.dominated(r, i)}
     memo[(rel, r)] = out
     return out
 

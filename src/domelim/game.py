@@ -173,6 +173,16 @@ class Restriction:
                 raise StructuralError(f"player {i} kept-set out of range")
 
     @classmethod
+    def _child(cls, game: Game, kept: tuple[tuple[int, ...], ...]) -> "Restriction":
+        """A restriction built without `__post_init__`'s checks.  Only for
+        `kept` cut from a valid restriction of `game` by dropping strategies
+        while every player keeps one, which passes them by construction."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "game", game)
+        object.__setattr__(r, "kept", kept)
+        return r
+
+    @classmethod
     def full(cls, game: Game) -> "Restriction":
         return cls(game, tuple(tuple(range(s)) for s in game.sizes))
 

@@ -17,12 +17,12 @@ On top of the solver sit the game-theoretic oracles.  `max_min_advantage`,
 the best guaranteed margin of a pool mixture over a fixed pure strategy,
 is the engine's one LP decision: strict-mixed dominance, and by LP
 duality never-best-response under correlated (or two-player independent)
-beliefs, both read its sign.  `pure_best_response` is the pure scan that
-the dominance layer runs first, skipping the LP when one opponent joint
-already settles the question.  `best_response_feasible` solves the dual
+beliefs, both read its sign.  `best_response_feasible` solves the dual
 feasibility LP for a belief against which a strategy is a best response;
 no decision calls it.  It is the witness oracle, and the independent side
-of the duality cross-checks.
+of the duality cross-checks.  Under pure beliefs it needs no LP:
+`pure_best_response` finds the first opponent joint at which the strategy
+is a best response among the pool.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ irreducible restriction is reachable in it.  One lazy depth-first walk,
 `_walk`, serves `all_outcomes` (the irreducible restrictions),
 `reachable_restrictions` (all of them) and `reachable_steps` (every step).
 It builds a `Restriction` only for a child whose kept tuple it has not
-seen, and every step to that child reuses it.  Children come in bitmask
+seen, and every step to that child reuses it.  It builds that child
+unchecked (`Restriction._child`): the child is its valid parent less some
+dominated strategies, and `dominated_set` has checked that every player
+keeps an undominated one.  Children come in bitmask
 order over the sorted dominated keys.  A budget caps the restrictions
 admitted; past it, unseen children are dropped.  `all_outcomes` then
 reports `complete=False` with the partial outcome set,
@@ -181,7 +184,7 @@ def _walk(
             for kept in _child_kepts(r, sorted(dom)):
                 child = seen.get(kept)
                 if child is None and len(seen) < budget:
-                    child = seen[kept] = Restriction(g, kept)
+                    child = seen[kept] = Restriction._child(g, kept)
                     stack.append(child)
                 children.append(child)
         yield r, dom, children

@@ -11,7 +11,10 @@ the reference whose pivot path the integer tableau in `lp.solve` must follow.
 order, the restrictions it admits under every budget.
 `reachable_steps_reference` is the engine's former step walk, which went on
 past its budget without saying so; it marks the steps whose target it left
-out.  `payoff`, `joints` and `full_joint` read single payoffs straight
+out.  `decide_reference` is the engine's former per-strategy decision of
+each simple relation, with its pure-best-response prefilter; the
+per-player kernel must yield the same dominated sets and certificates.
+`payoff`, `joints` and `full_joint` read single payoffs straight
 from a game's flat tensor, validating every index, and `check_feasible`
 substitutes a candidate solution into a program: reference readers for
 the engine's payoff kernel and simplex.
@@ -23,9 +26,21 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from domelim.dominance import Relation, dominated_set
-from domelim.errors import StructuralError
-from domelim.game import Game, Restriction
+from domelim.dominance import (
+    INHERENT_JOINT_CAP,
+    Inherent,
+    InherentEvidence,
+    MixedDominator,
+    NeverBest,
+    NeverBestResponse,
+    PureDominator,
+    Relation,
+    StrictMixed,
+    StrictPure,
+    dominated_set,
+)
+from domelim.errors import StructuralError, UnsupportedConfiguration
+from domelim.game import BeliefMode, Game, Restriction
 from domelim.lp import (
     EQ,
     GEQ,
@@ -35,6 +50,8 @@ from domelim.lp import (
     UNBOUNDED,
     LinearProgram,
     LpOutcome,
+    max_min_advantage,
+    pure_best_response,
 )
 from domelim.reduction import DEFAULT_BUDGET, OutcomeSearch, ReductionStep
 
@@ -338,6 +355,59 @@ def fraction_simplex(lp: LinearProgram) -> tuple[LpOutcome, Counter]:
     for k, (j, sign) in enumerate(cols):
         solution[j] += split[k] * sign
     return LpOutcome(OPTIMAL, obj[-1], tuple(solution)), stats
+
+
+def _weakly_above_at(a, b, ks) -> bool:
+    return all(a[k] >= b[k] for k in ks) and any(a[k] > b[k] for k in ks)
+
+
+def decide_reference(rel: Relation, r: Restriction, i: int, s: int):
+    """The certificate of (i, s) under a simple relation (`nbr` under pure
+    beliefs only), or None, decided for this one strategy as the engine
+    did before its per-player kernel."""
+    pool = range(r.game.sizes[i]) if getattr(rel, "global_pool", False) else r.kept[i]
+    if isinstance(rel, StrictPure):
+        mine, *rows = r.payoff_rows(i, [s, *pool])
+        for t, row in zip(pool, rows):
+            if t != s and all(x > y for x, y in zip(row, mine)):
+                return PureDominator(t)
+        return None
+    if isinstance(rel, StrictMixed):
+        rivals = [t for t in pool if t != s]
+        if not rivals or pure_best_response(r, i, s, rivals) is not None:
+            return None
+        eps, mixed = max_min_advantage(r, i, s, rivals)
+        return MixedDominator(mixed, eps) if eps > 0 else None
+    if isinstance(rel, NeverBestResponse):
+        if rel.mode is not BeliefMode.PURE:
+            raise StructuralError("the reference decides nbr under pure beliefs only")
+        mine, *rows = r.payoff_rows(i, [s, *pool])
+        better = []
+        for k, m in enumerate(mine):
+            t = next((t for t, row in zip(pool, rows) if row[k] > m), None)
+            if t is None:
+                return None
+            better.append((r.opponent_joint(i, k), t))
+        return NeverBest(rel.mode, rel.global_pool, tuple(better))
+    if isinstance(rel, Inherent):
+        opps = r.opponent_joints(i)
+        if len(opps) > INHERENT_JOINT_CAP:
+            raise UnsupportedConfiguration(f"{len(opps)} opponent joints")
+        rivals = [t for t in r.kept[i] if t != s]
+        mine, *rows = r.payoff_rows(i, [s] + rivals)
+        if any(all(row[k] <= m for row in rows) for k, m in enumerate(mine)):
+            return None
+        found = []
+        for mask in range(1, 1 << len(opps)):
+            ks = [k for k in range(len(opps)) if mask >> k & 1]
+            dom = next(
+                (t for t, row in zip(rivals, rows) if _weakly_above_at(row, mine, ks)), None
+            )
+            if dom is None:
+                return None
+            found.append((tuple(opps[k] for k in ks), dom))
+        return InherentEvidence(tuple(found))
+    raise StructuralError(f"not a simple relation: {rel!r}")
 
 
 def all_outcomes_reference(

@@ -128,6 +128,14 @@ class TestOrders:
         code = main(["orders", pd_file, "--relation", "strict-pure", "--budget", "1"])
         assert code == 5
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_a_usage_error(self, pd_file, budget, capsys):
+        code = main(["orders", pd_file, "--relation", "strict-pure", "--budget", budget])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: argument --budget: must be at least 1, got {budget}\n"
+        assert captured.out == ""
+
     def test_intersection_relation(self, pd_file, capsys):
         code = main(["orders", pd_file, "--relation", "strict-pure,inherent"])
         assert code == 0
@@ -183,6 +191,16 @@ class TestCheck:
             ["check", belief_file, "--property", "proof-shape", "--relation", "nbr"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_random_count_below_one_is_a_usage_error(self, count, capsys):
+        code = main(
+            ["check", "--random", count, "--property", "monotonic", "--relation", "strict-pure"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: argument --random: must be at least 1, got {count}\n"
+        assert captured.out == ""
 
     def test_file_and_random_exclusive(self, pd_file, capsys):
         code = main(

@@ -41,7 +41,7 @@ from domelim.game import BeliefMode, Game, MixedStrategy, Restriction
 from domelim.generate import random_game
 from domelim.lp import best_response_feasible, max_min_advantage, pure_best_response
 
-from oracles import pure_dominator_scan, weak_dominator_scan
+from oracles import decide_reference, pure_dominator_scan, weak_dominator_scan
 
 PURE = BeliefMode.PURE
 CORR = BeliefMode.CORRELATED
@@ -214,9 +214,12 @@ class TestInherent:
         sizes = (2, 5, 4)
         labels = [tuple(f"s{k}" for k in range(size)) for size in sizes]
         r = Restriction.full(Game.from_table(labels, [(0, 0, 0)] * 40))
-        with pytest.raises(UnsupportedConfiguration):
+        with pytest.raises(UnsupportedConfiguration, match="^20 opponent joints"):
             is_inherently_dominated(r, 0, 0)
         assert is_inherently_dominated(r, 2, 0) == (False, None)
+        # The dominated set raises when it reaches player 0.
+        with pytest.raises(UnsupportedConfiguration, match="^20 opponent joints"):
+            dominated_set(Inherent(), r, validate=False)
 
     def test_strict_pure_implies_inherent(self):
         rng = random.Random(23)
@@ -345,6 +348,37 @@ class TestPureWitnessPrefilter:
                     }
                     rel = NeverBestResponse(mode, global_pool=global_pool)
                     assert dominated_set(rel, r, validate=False) == expected
+
+
+class TestPerPlayerKernel:
+    """Each relation decides all of a player's strategies from one payoff
+    read; the sets and certificates must be the per-strategy reference's."""
+
+    def test_dominated_sets_match_the_per_strategy_reference(
+        self, r_pd, r_mix, r_belief, r_one
+    ):
+        restrictions = (
+            [r_pd, r_mix, r_belief, r_one]
+            + _full_restrictions(44, 9, 3)
+            + _random_restrictions(45, 45)
+        )
+        rels = [Inherent()] + [
+            rel
+            for pool in (False, True)
+            for rel in (StrictPure(pool), StrictMixed(pool), NeverBestResponse(PURE, pool))
+        ]
+        dominated = {rel: 0 for rel in rels}
+        for r in restrictions:
+            for rel in rels:
+                expected = []
+                for i, s in r.strategies():
+                    cert = decide_reference(rel, r, i, s)
+                    if cert is not None:
+                        expected.append(((i, s), cert))
+                got = dominated_set(rel, r, validate=False)
+                assert list(got.items()) == expected, (rel, r.kept)
+                dominated[rel] += len(expected)
+        assert all(dominated.values()), dominated
 
 
 class TestNeverBestResponseFold:

@@ -19,9 +19,11 @@ from domelim.errors import DomelimError, StructuralError, UnsupportedConfigurati
 from domelim.game import BeliefMode, Game, Restriction
 from domelim.generate import random_game
 from domelim.reduction import (
+    DEFAULT_BUDGET,
     FullSpeed,
     SingleLex,
     SingleRandom,
+    _walk,
     all_outcomes,
     check_hereditary_step,
     check_monotonic_pair,
@@ -183,6 +185,34 @@ class TestAllOutcomes:
             assert len(search.outcomes) == 1
             for policy in (FullSpeed(), SingleLex(), SingleRandom(3)):
                 assert normal_form(StrictPure(), g, policy).outcome in search.outcomes
+
+
+class TestWalkChildren:
+    """`_walk` builds each child without validating it, so every child must
+    be the restriction the checked constructor builds from its kept tuple."""
+
+    def test_children_equal_checked_restrictions(self):
+        pure = [
+            StrictPure(), StrictPure(global_pool=True), NeverBestResponse(PURE),
+            NeverBestResponse(PURE, global_pool=True), Inherent(),
+        ]
+        rels = pure + [Intersection(pair) for pair in combinations(pure, 2)] + [
+            StrictMixed(), StrictMixed(global_pool=True),
+            NeverBestResponse(BeliefMode.CORRELATED, global_pool=True),
+        ]
+        rng = random.Random(71)
+        games = [random_game(rng, 3 if k % 4 == 0 else 2) for k in range(16)]
+        children = 0
+        for g in games + search_games()[::3]:
+            for rel in rels:
+                for _, _, kids in _walk(rel, g, DEFAULT_BUDGET):
+                    for child in kids:
+                        checked = Restriction(g, child.kept)
+                        assert child == checked and hash(child) == hash(checked)
+                        assert child.game is g
+                        child.__post_init__()
+                        children += 1
+        assert children > 0
 
 
 class TestReachableRestrictions:
