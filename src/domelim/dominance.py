@@ -122,7 +122,7 @@ class StrictMixed:
         support, pool = cert.mixed.support, _pool(self, r, i)
         if s in support or not all(t in pool for t in support):
             return False
-        return mixed_strictly_dominates(r, i, cert.mixed, s)
+        return _mixed_margin(r, i, cert.mixed, s) == cert.eps
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ class Inherent:
         if not isinstance(cert, InherentEvidence):
             return False
         covered = {subset for subset, _ in cert.dominators}
-        if covered != set(_nonempty_subsets(r.opponent_joints(i))):
+        if covered != set(_nonempty_subsets(_inherent_joints(r, i))):
             return False
         return all(
             weakly_dominates_pure(r, i, t, s, subset)
@@ -273,6 +273,8 @@ class PureDominator:
 
 @dataclass(frozen=True)
 class MixedDominator:
+    """A mixture of the pool less s; eps is its least advantage over s."""
+
     mixed: MixedStrategy
     eps: Fraction
 
@@ -489,14 +491,18 @@ def verify_certificate(
     return rel.verify(r, i, s, cert)
 
 
+def _mixed_margin(r: Restriction, i: int, m: MixedStrategy, s: int) -> Fraction:
+    """The least advantage of mixture `m` over `s` across R's opponent joints."""
+    mine, *rows = r.payoff_rows(i, [s, *m.support])
+    return min(
+        sum((w * row[k] for (_, w), row in zip(m.weights, rows)), ZERO) - base
+        for k, base in enumerate(mine)
+    )
+
+
 def mixed_strictly_dominates(r: Restriction, i: int, m: MixedStrategy, s: int) -> bool:
     """Exact check that mixture `m` beats `s` on every opponent joint of R."""
-    mine, *rows = r.payoff_rows(i, [s, *m.support])
-    for k, base in enumerate(mine):
-        value = sum((w * row[k] for (_, w), row in zip(m.weights, rows)), ZERO)
-        if value <= base:
-            return False
-    return True
+    return _mixed_margin(r, i, m, s) > 0
 
 
 # ---------------------------------------------------------------------------

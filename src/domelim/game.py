@@ -22,8 +22,8 @@ The kernel's tables hold a whole payoff as its `int` and any other as its
 `Fraction`.  An `int` compares, hashes and adds exactly like the equal
 `Fraction`, so no decision changes, and the dominance scans compare plain
 integers instead of going through `Fraction`'s rich comparison.  `Game`
-itself keeps `Fraction`s, and the LP builders convert the rows they read
-back to `Fraction` coefficients.
+itself keeps `Fraction`s, and the LP builders take the kernel's values as
+they are: an `int` row goes into the simplex with nothing to clear.
 
 A belief is one type, `CorrelatedBelief`: an exact distribution over
 opponent joints.  A pure belief is its point mass, and on two players an
@@ -215,20 +215,6 @@ class Restriction:
             raise StructuralError(f"player index {i} out of range")
         pools = [self.kept[j] for j in range(self.n) if j != i]
         return tuple(product(*pools))
-
-    def opponent_joint(self, i: int, k: int) -> tuple[int, ...]:
-        """`opponent_joints(i)[k]`, without building the product."""
-        if not 0 <= i < self.n:
-            raise StructuralError(f"player index {i} out of range")
-        out = []
-        for j in range(self.n - 1, -1, -1):
-            if j != i:
-                ks = self.kept[j]
-                k, pos = divmod(k, len(ks))
-                out.append(ks[pos])
-        if k != 0:
-            raise StructuralError("opponent joint index out of range")
-        return tuple(reversed(out))
 
     def payoff_rows(self, i: int, strategies: Sequence[int]) -> list[list[Payoff]]:
         """Player i's payoffs for each of `strategies` (any of G_i) over

@@ -13,16 +13,21 @@ change, so the pivot path is the one a `Fraction` tableau takes (the tests
 keep that tableau as the reference).  The solution is read back as
 `rhs / basic entry` per row, the value as objective . solution.
 
-On top of the solver sit the game-theoretic oracles.  `max_min_advantage`,
-the best guaranteed margin of a pool mixture over a fixed pure strategy,
-is the engine's one LP decision: strict-mixed dominance, and by LP
-duality never-best-response under correlated (or two-player independent)
-beliefs, both read its sign.  `best_response_feasible` solves the dual
-feasibility LP for a belief against which a strategy is a best response;
-no decision calls it.  It is the witness oracle, and the independent side
-of the duality cross-checks.  Under pure beliefs it needs no LP:
-`pure_best_response` finds the first opponent joint at which the strategy
-is a best response among the pool.
+A program's coefficients are exact `int`s or `Fraction`s; `solve` clears
+each row's denominators once, and an `int` row has none to clear.
+
+On top of the solver sit the game-theoretic oracles, which both read one
+advantage matrix, p_i(t, k) - p_i(s, k) for pool strategies t and
+opponent joints k, built from the payoff kernel's exact values.
+`max_min_advantage`, the best guaranteed margin of a pool mixture over a
+fixed pure strategy, is the engine's one LP decision: strict-mixed
+dominance, and by LP duality never-best-response under correlated (or
+two-player independent) beliefs, both read its sign.
+`best_response_feasible` solves the dual feasibility LP for a belief
+against which a strategy is a best response; no decision calls it.  It is
+the witness oracle, and the independent side of the duality cross-checks.
+Under pure beliefs it needs no LP: the first column of the matrix with no
+positive entry is a joint where the strategy is a best response.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .game import (
     BeliefMode,
     CorrelatedBelief,
     MixedStrategy,
+    Payoff,
     Restriction,
 )
 
@@ -54,8 +60,8 @@ class LinearProgram:
     `nonneg[j]` marks x_j >= 0; unmarked variables are free.
     """
 
-    objective: tuple[Fraction, ...]
-    constraints: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
+    objective: tuple[Payoff, ...]
+    constraints: tuple[tuple[tuple[Payoff, ...], str, Payoff], ...]
     nonneg: tuple[bool, ...]
 
     def __post_init__(self):
@@ -81,7 +87,7 @@ class LpOutcome:
     solution: Optional[tuple[Fraction, ...]] = None
 
 
-def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+def _cleared(xs: Sequence[Payoff]) -> tuple[list[int], int]:
     """Integer numerators of `xs` over their least common denominator."""
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
@@ -246,6 +252,17 @@ def solve(lp: LinearProgram) -> LpOutcome:
     return LpOutcome(OPTIMAL, value, tuple(solution))
 
 
+def _advantages(
+    r: Restriction, i: int, s: int, pool: Sequence[int]
+) -> list[list[Payoff]]:
+    """p_i(t, k) - p_i(s, k), one row per t of `pool` and one column per
+    opponent joint k of R, exact as the payoff kernel holds them."""
+    if not r.contains(i, s):
+        raise StructuralError(f"strategy {s} not in restriction for player {i}")
+    mine, *rows = r.payoff_rows(i, [s, *pool])
+    return [[x - m for x, m in zip(row, mine)] for row in rows]
+
+
 def max_min_advantage(
     r: Restriction, i: int, s: int, pool: Sequence[int]
 ) -> tuple[Fraction, MixedStrategy]:
@@ -258,38 +275,12 @@ def max_min_advantage(
     pool = list(pool)
     if not pool:
         raise StructuralError("empty dominator pool")
-    if not r.contains(i, s):
-        raise StructuralError(f"strategy {s} not in restriction for player {i}")
-    mine, *rows = r.payoff_rows(i, [s] + pool)
-    eps_col = len(pool)  # weights first, then the margin variable
-    constraints = []
-    for k, base in enumerate(mine):
-        row = [Fraction(t_row[k] - base) for t_row in rows]
-        row.append(-ONE)
-        constraints.append((tuple(row), GEQ, ZERO))
-    constraints.append((tuple([ONE] * len(pool) + [ZERO]), EQ, ONE))
-    objective = tuple([ZERO] * len(pool) + [ONE])
-    nonneg = tuple([True] * len(pool) + [False])
-    out = solve(LinearProgram(objective, tuple(constraints), nonneg))
+    n = len(pool)  # weights first, then the margin variable
+    constraints = [(column + (-1,), GEQ, 0) for column in zip(*_advantages(r, i, s, pool))]
+    constraints.append(((1,) * n + (0,), EQ, 1))
+    out = solve(LinearProgram((0,) * n + (1,), tuple(constraints), (True,) * n + (False,)))
     assert out.status == OPTIMAL and out.value is not None  # always feasible, bounded
-    weights = {t: w for t, w in zip(pool, out.solution[:eps_col])}
-    return out.value, MixedStrategy.of(i, weights)
-
-
-def pure_best_response(
-    r: Restriction, i: int, s: int, pool: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    """First opponent joint of R (odometer order) where `s` scores at least
-    as much as every strategy of `pool`, or None.
-
-    Such a joint is a pure belief against which `s` is a best response, so
-    no mixture of `pool` strictly dominates `s` in R.
-    """
-    mine, *rows = r.payoff_rows(i, [s, *pool])
-    for k, m in enumerate(mine):
-        if all(row[k] <= m for row in rows):
-            return r.opponent_joint(i, k)
-    return None
+    return out.value, MixedStrategy.of(i, dict(zip(pool, out.solution[:n])))
 
 
 def best_response_feasible(
@@ -308,28 +299,19 @@ def best_response_feasible(
     on two players an independent belief is one over the single opponent's
     strategies, which is what the correlated LP finds.
     """
-    if not r.contains(i, s):
-        raise StructuralError(f"strategy {s} not in restriction for player {i}")
-    pool = list(compare) if compare is not None else list(r.kept[i])
+    adv = _advantages(r, i, s, r.kept[i] if compare is None else compare)
     if mode is BeliefMode.MIXED_INDEPENDENT and r.n > 2:
         raise UnsupportedConfiguration(
             "independent mixed beliefs with 3+ players are not decidable here"
         )
-    if mode is BeliefMode.PURE:
-        opp = pure_best_response(r, i, s, pool)
-        return None if opp is None else CorrelatedBelief.of(i, {opp: ONE})
-
     opps = r.opponent_joints(i)
     nv = len(opps)
-    mine, *rows = r.payoff_rows(i, [s] + pool)
-    constraints = [
-        (tuple(Fraction(m - x) for m, x in zip(mine, row)), GEQ, ZERO) for row in rows
-    ]
-    constraints.append((tuple([ONE] * nv), EQ, ONE))
-    lp = LinearProgram(
-        tuple([ZERO] * nv), tuple(constraints), tuple([True] * nv)
-    )
-    out = solve(lp)
+    if mode is BeliefMode.PURE:
+        k = next((k for k in range(nv) if all(row[k] <= 0 for row in adv)), None)
+        return None if k is None else CorrelatedBelief.of(i, {opps[k]: ONE})
+    constraints = [(tuple(-x for x in row), GEQ, 0) for row in adv]
+    constraints.append(((1,) * nv, EQ, 1))
+    out = solve(LinearProgram((0,) * nv, tuple(constraints), (True,) * nv))
     if out.status != OPTIMAL:
         return None
     return CorrelatedBelief.of(i, dict(zip(opps, out.solution)))

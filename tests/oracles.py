@@ -50,8 +50,8 @@ from domelim.lp import (
     UNBOUNDED,
     LinearProgram,
     LpOutcome,
+    best_response_feasible,
     max_min_advantage,
-    pure_best_response,
 )
 from domelim.reduction import DEFAULT_BUDGET, OutcomeSearch, ReductionStep
 
@@ -277,9 +277,11 @@ def fraction_simplex(lp: LinearProgram) -> tuple[LpOutcome, Counter]:
             cols.append((j, -1))
     nstruct = len(cols)
 
+    # Exact `int` coefficients become `Fraction`s, so that dividing stays exact.
     raw = []
     for coeffs, cmp, rhs in lp.constraints:
-        row = [coeffs[j] * sign for j, sign in cols]
+        row = [Fraction(coeffs[j]) * sign for j, sign in cols]
+        rhs = Fraction(rhs)
         if rhs < 0:
             row = [-x for x in row]
             rhs = -rhs
@@ -337,7 +339,7 @@ def fraction_simplex(lp: LinearProgram) -> tuple[LpOutcome, Counter]:
 
     cost = [ZERO] * (ncols + 1)
     for k, (j, sign) in enumerate(cols):
-        cost[k] = lp.objective[j] * sign
+        cost[k] = Fraction(lp.objective[j]) * sign
     obj = [-c for c in cost]
     for r, b in enumerate(basis):
         if cost[b] != 0:
@@ -374,7 +376,8 @@ def decide_reference(rel: Relation, r: Restriction, i: int, s: int):
         return None
     if isinstance(rel, StrictMixed):
         rivals = [t for t in pool if t != s]
-        if not rivals or pure_best_response(r, i, s, rivals) is not None:
+        # A pure best response, which an empty pool always admits, settles it.
+        if best_response_feasible(r, i, s, BeliefMode.PURE, rivals) is not None:
             return None
         eps, mixed = max_min_advantage(r, i, s, rivals)
         return MixedDominator(mixed, eps) if eps > 0 else None
@@ -387,7 +390,7 @@ def decide_reference(rel: Relation, r: Restriction, i: int, s: int):
             t = next((t for t, row in zip(pool, rows) if row[k] > m), None)
             if t is None:
                 return None
-            better.append((r.opponent_joint(i, k), t))
+            better.append((r.opponent_joints(i)[k], t))
         return NeverBest(rel.mode, rel.global_pool, tuple(better))
     if isinstance(rel, Inherent):
         opps = r.opponent_joints(i)

@@ -11,6 +11,7 @@ import pytest
 from domelim import lp
 from domelim.dominance import (
     Inherent,
+    InherentEvidence,
     Intersection,
     IntersectionEvidence,
     MixedDominator,
@@ -39,7 +40,7 @@ from domelim.errors import (
 )
 from domelim.game import BeliefMode, Game, MixedStrategy, Restriction
 from domelim.generate import random_game
-from domelim.lp import best_response_feasible, max_min_advantage, pure_best_response
+from domelim.lp import best_response_feasible, max_min_advantage
 
 from oracles import decide_reference, pure_dominator_scan, weak_dominator_scan
 
@@ -220,6 +221,10 @@ class TestInherent:
         # The dominated set raises when it reaches player 0.
         with pytest.raises(UnsupportedConfiguration, match="^20 opponent joints"):
             dominated_set(Inherent(), r, validate=False)
+        # So does checking a certificate there, before it builds any subset.
+        forged = InherentEvidence((((r.opponent_joints(0)[0],), 1),))
+        with pytest.raises(UnsupportedConfiguration, match="^20 opponent joints"):
+            verify_certificate(Inherent(), r, 0, 0, forged)
 
     def test_strict_pure_implies_inherent(self):
         rng = random.Random(23)
@@ -308,7 +313,7 @@ class TestPureWitnessPrefilter:
             for i, s in r.strategies():
                 for compare in (None, tuple(range(g.sizes[i]))):
                     pool = compare if compare is not None else r.kept[i]
-                    if pure_best_response(r, i, s, pool) is None:
+                    if best_response_feasible(r, i, s, PURE, pool) is None:
                         continue
                     hits += 1
                     rivals = [t for t in pool if t != s]

@@ -186,26 +186,6 @@ class TestOpponentJoints:
         assert joints == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
 
 
-class TestOpponentJoint:
-    def test_matches_product_on_random_restrictions(self):
-        rng = random.Random(9)
-        for k in range(40):
-            g = random_game(rng, 2 if k % 2 else 3)
-            kept = []
-            for size in g.sizes:
-                chosen = tuple(s for s in range(size) if rng.random() < 0.6)
-                kept.append(chosen or (rng.randrange(size),))
-            r = Restriction(g, tuple(kept))
-            for i in range(g.n):
-                joints = r.opponent_joints(i)
-                assert [r.opponent_joint(i, k) for k in range(len(joints))] == list(joints)
-                for bad in (-1, len(joints)):
-                    with pytest.raises(StructuralError):
-                        r.opponent_joint(i, bad)
-        with pytest.raises(StructuralError):
-            r.opponent_joint(g.n, 0)
-
-
 class TestPlayerPayoffs:
     @staticmethod
     def assert_tables_exact(g):

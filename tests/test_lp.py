@@ -203,6 +203,12 @@ class TestIntegerTableau:
                     max_min_advantage(r, i, s, pool)
                 best_response_feasible(r, i, s, BeliefMode.CORRELATED)
         monkeypatch.undo()
+        # Integer payoffs give integer programs: the oracles wrap nothing.
+        for prog in programs:
+            numbers = list(prog.objective)
+            for coeffs, _, rhs in prog.constraints:
+                numbers += [*coeffs, rhs]
+            assert all(type(x) is int for x in numbers)
         seen = self._assert_same(monkeypatch, programs)
         assert seen[OPTIMAL] > 0 and seen[INFEASIBLE] > 0
 

@@ -104,6 +104,15 @@ class TestTraceDocuments:
         with pytest.raises(InvalidCertificate):
             verify_trace_document(doc, G_BELIEF)
 
+    def test_inflated_mixed_margin_rejected(self):
+        doc = trace_to_document(normal_form(StrictMixed(), G_MIX, SingleLex()))
+        cert = doc["steps"][0]["removed"][0]["certificate"]
+        assert cert["eps"] == "1/2"
+        verify_trace_document(doc, G_MIX)
+        cert["eps"] = "1000"
+        with pytest.raises(InvalidCertificate):
+            verify_trace_document(doc, G_MIX)
+
     def test_wrong_game_rejected(self):
         doc = trace_to_document(normal_form(StrictPure(), G_PD, FullSpeed()))
         with pytest.raises(InvalidCertificate):
