@@ -30,16 +30,23 @@ response, and the singleton subset of that joint refutes its inherent
 dominance.  Only the strategies meeting no column maximum are examined
 further, and under pure beliefs each of them is a never best response.
 Certificates are canonical: the first dominator in pool order, the first
-better pool strategy at each joint, and the first weak dominator on each
-subset of joints in odometer order.
+better pool strategy at each joint, the first weak dominator on each
+subset of joints in odometer order, and the mixture the max-min LP finds.
+
+`StrictMixed` runs the max-min LP only on a strategy that no pure pool
+strategy beats.  One that a pure rival beats is dominated (the rival is a
+mixture), so it gets a deferred `MixedDominator`, whose LP runs the first
+time its mixture or margin is read and gives the certificate the eager LP
+would.  The order walk and the step checkers read only which strategies
+are dominated, so they solve none; a trace solves one per removal written.
 
 Under correlated beliefs, and independent ones on two players (where an
 independent belief is a distribution over the one opponent's strategies),
 `s` is a never best response against a pool exactly when a mixture of the
 pool less `s` beats it: the two LPs are duals (Pearce 1984, Lemma 3).  So
 LP-mode NBR reads the `StrictMixed` memo entry of the same pool flag and
-restriction, and one max-min LP per strategy serves `strict-mixed` and
-both LP modes of `nbr`.
+restriction, and one decision serves `strict-mixed` and both LP modes of
+`nbr`.
 """
 
 from __future__ import annotations
@@ -111,10 +118,16 @@ class StrictMixed:
 
     def dominated(self, r: Restriction, i: int) -> Iterator[tuple[int, MixedDominator]]:
         pool = _pool(self, r, i)
-        for s, _ in _candidates(r, i, pool)[1]:
-            eps, mixed = max_min_advantage(r, i, s, [t for t in pool if t != s])
-            if eps > 0:
-                yield s, MixedDominator(mixed, eps)
+        rows, candidates = _candidates(r, i, pool)
+        for s, mine in candidates:
+            rivals = [t for t in pool if t != s]
+            if any(_above(row, mine) for row in rows):
+                # A pure rival beats s, so the margin is positive: solve on read.
+                yield s, MixedDominator.deferred(r, i, s, rivals)
+            else:
+                eps, mixed = max_min_advantage(r, i, s, rivals)
+                if eps > 0:
+                    yield s, MixedDominator(mixed, eps)
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, MixedDominator) or cert.eps <= 0:
@@ -271,12 +284,55 @@ class PureDominator:
     strategy: int
 
 
-@dataclass(frozen=True)
 class MixedDominator:
-    """A mixture of the pool less s; eps is its least advantage over s."""
+    """A mixture of the pool less s; eps is its least advantage over s.
 
-    mixed: MixedStrategy
-    eps: Fraction
+    `deferred(r, i, s, rivals)` stands for the certificate the max-min LP
+    over `rivals` gives, for an `s` that a pure rival is known to beat.  The
+    LP runs the first time `mixed` or `eps` is read (equality, hash and repr
+    read them too), and the result replaces the problem, so an unread
+    certificate costs no LP and a read one exactly one.
+    """
+
+    __slots__ = ("_problem", "_solution")
+
+    def __init__(self, mixed: MixedStrategy, eps: Fraction):
+        self._problem, self._solution = None, (mixed, eps)
+
+    @classmethod
+    def deferred(
+        cls, r: Restriction, i: int, s: int, rivals: Sequence[int]
+    ) -> MixedDominator:
+        cert = cls.__new__(cls)
+        cert._problem = (r, i, s, rivals)
+        return cert
+
+    def _solved(self) -> tuple[MixedStrategy, Fraction]:
+        if self._problem is not None:
+            eps, mixed = max_min_advantage(*self._problem)
+            assert eps > 0  # a pure rival beats s
+            self._problem, self._solution = None, (mixed, eps)
+        return self._solution
+
+    @property
+    def mixed(self) -> MixedStrategy:
+        return self._solved()[0]
+
+    @property
+    def eps(self) -> Fraction:
+        return self._solved()[1]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._solved() == other._solved()
+
+    def __hash__(self):
+        return hash(self._solved())
+
+    def __repr__(self):
+        mixed, eps = self._solved()
+        return f"MixedDominator(mixed={mixed!r}, eps={eps!r})"
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,10 @@ opponent joints k, built from the payoff kernel's exact values.
 `max_min_advantage`, the best guaranteed margin of a pool mixture over a
 fixed pure strategy, is the engine's one LP decision: strict-mixed
 dominance, and by LP duality never-best-response under correlated (or
-two-player independent) beliefs, both read its sign.
+two-player independent) beliefs, both read its sign.  It decides only a
+strategy that no pure pool strategy beats; for one that a pure rival
+beats it runs once, when that strategy's certificate is first read (see
+`dominance`).
 `best_response_feasible` solves the dual feasibility LP for a belief
 against which a strategy is a best response; no decision calls it.  It is
 the witness oracle, and the independent side of the duality cross-checks.

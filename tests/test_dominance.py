@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from domelim import lp
+from domelim import dominance, lp
 from domelim.dominance import (
     Inherent,
     InherentEvidence,
@@ -411,6 +411,46 @@ class TestNeverBestResponseFold:
                         key: NeverBest(mode, global_pool) for key in keys
                     }
         assert dominated > 0
+
+
+class TestDeferredMixedDominator:
+    """A strategy that a pure rival beats is strict-mixed dominated without
+    an LP; its mixture is solved the first time its certificate is read."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return max_min_advantage(*args)
+
+        monkeypatch.setattr(dominance, "max_min_advantage", counting)
+        return calls
+
+    def test_read_certificate_is_solved_once(self, g_pd, monkeypatch):
+        r = Restriction.full(Game(g_pd.labels, g_pd.payoffs))
+        calls = self._counted(monkeypatch)
+        cert = dominated_set(StrictMixed(), r)[(0, 0)]
+        assert calls == []
+        eps = cert.eps
+        mixed = cert.mixed
+        assert len(calls) == 1
+        assert (eps, mixed) == max_min_advantage(r, 0, 0, [1])
+        assert StrictMixed().verify(r, 0, 0, cert)
+        eager = MixedDominator(mixed, eps)
+        assert cert == eager and hash(cert) == hash(eager) and repr(cert) == repr(eager)
+        assert len(calls) == 1
+
+    def test_mixture_only_dominator_is_decided_by_the_lp(self, g_mix, monkeypatch):
+        r = Restriction.full(Game(g_mix.labels, g_mix.payoffs))
+        calls = self._counted(monkeypatch)
+        dom = dominated_set(StrictMixed(), r)
+        assert list(dom) == [(0, 1)]
+        assert calls == [(r, 0, 1, [0, 2])]
+        eps, mixed = max_min_advantage(r, 0, 1, [0, 2])
+        assert dom[(0, 1)] == MixedDominator(mixed, eps)
+        assert len(calls) == 1
 
 
 class TestIntersectionEntries:

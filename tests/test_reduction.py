@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
+from domelim import dominance
 from domelim.dominance import (
     Inherent,
     Intersection,
@@ -18,6 +19,7 @@ from domelim.dominance import (
 from domelim.errors import DomelimError, StructuralError, UnsupportedConfiguration
 from domelim.game import BeliefMode, Game, Restriction
 from domelim.generate import random_game
+from domelim.lp import max_min_advantage
 from domelim.reduction import (
     DEFAULT_BUDGET,
     FullSpeed,
@@ -168,14 +170,48 @@ class TestAllOutcomes:
         assert cut > 0  # budgets below the full size do cut some searches off
 
     def test_game_and_its_memo_are_freed_once_dropped(self):
-        g = random_game(random.Random(9), 2)
-        rel = Intersection((StrictPure(), NeverBestResponse(BeliefMode.CORRELATED)))
-        search = all_outcomes(rel, g)
-        assert search.complete and g.memo
-        ref = weakref.ref(g)
-        del g, search
-        gc.collect()
-        assert ref() is None
+        for rel in (
+            Intersection((StrictPure(), NeverBestResponse(BeliefMode.CORRELATED))),
+            StrictMixed(),
+        ):
+            g = random_game(random.Random(9), 2)
+            search = all_outcomes(rel, g)
+            assert search.complete and g.memo
+            if rel == StrictMixed():
+                # Unread deferred certificates hold their restriction, and
+                # so the game, until the memo goes with it.
+                assert any(
+                    cert._problem is not None
+                    for entries in g.memo.values()
+                    for cert in entries.values()
+                )
+            ref = weakref.ref(g)
+            del g, search
+            gc.collect()
+            assert ref() is None
+
+    def test_walk_solves_no_mixture(self, g_pd, monkeypatch):
+        """Every strategy the walk removes from the prisoner's dilemma is
+        beaten by a pure rival: no max-min LP runs, under strict-mixed or
+        under correlated nbr, which reads the strict-mixed keys."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return max_min_advantage(*args)
+
+        monkeypatch.setattr(dominance, "max_min_advantage", counting)
+        for rel in (
+            StrictMixed(),
+            StrictMixed(global_pool=True),
+            NeverBestResponse(BeliefMode.CORRELATED),
+        ):
+            g = Game(g_pd.labels, g_pd.payoffs)
+            search = all_outcomes(rel, g)
+            assert search.complete
+            assert {r.kept for r in search.outcomes} == {((1,), (1,))}
+            assert search == all_outcomes_reference(rel, g)
+        assert calls == []
 
     def test_agrees_with_policy_outcomes(self):
         rng = random.Random(51)
