@@ -3,7 +3,6 @@
 from .errors import (
     AssumptionViolated,
     CyclicSystem,
-    DegenerateDominator,
     DomelimError,
     GameParseError,
     InvalidCertificate,
@@ -16,7 +15,6 @@ from .game import (
     Game,
     MixedStrategy,
     Restriction,
-    expected_payoff,
     restriction_leq,
 )
 from .lp import (
@@ -33,14 +31,11 @@ from .dominance import (
     Relation,
     StrictMixed,
     StrictPure,
+    certify,
     dominated_set,
     is_dominated,
-    is_inherently_dominated,
     parse_relation,
-    persist_dominator,
-    renormalize_without,
     strictly_dominates_pure,
-    substitute,
     verify_certificate,
     weakly_dominates_pure,
 )

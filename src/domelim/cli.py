@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 parse/usage error, 3 unsupported configuration
 or any other engine error (an assumption violated, a certificate that
-fails re-verification, a degenerate dominator), 4 property violation or
-order dependence, 5 budget overflow.  Every error prints one `error:` line
+fails re-verification), 4 property violation or order dependence, 5
+budget overflow.  Every error prints one `error:` line
 on stderr; none ends in a traceback.
 """
 

@@ -1,7 +1,7 @@
-"""The dominance relations, their certificates, and mixed-strategy surgery.
+"""The dominance relations and their certificates.
 
 Each relation maps a restriction R to the set of strategies it dominates
-there, together with a certificate that re-verifies by substitution:
+there:
 
   StrictPure(global_pool)              a pure pool strategy beats s
   StrictMixed(global_pool)             a mixture of the pool less s beats s
@@ -15,11 +15,19 @@ there, together with a certificate that re-verifies by substitution:
 `global_pool=True` makes it G_i, the initial game's strategies, which is
 the "global" variant.  `mode` is what an NBR belief ranges over: pure
 opponent joints, independent mixtures (exact on two players only), or
-correlated distributions.  Each class owns its `name`, its `belief_mode`,
-its decision `dominated(r, i)`, which yields player i's dominated
-strategies with their certificates in R_i order, and its check
-`verify(r, i, s, cert)`.  Relations are hashable values so dominated sets
+correlated distributions.  Relations are hashable values so dominated sets
 can be memoized per (relation, restriction), on the restriction's game.
+
+Each class answers two questions apart.  Its decision `dominated(r, i)`
+yields player i's dominated strategies in R_i order, and the memo keeps
+only those keys: the order walk, the step checkers and LP-mode NBR ask
+nothing else.  Its `certify(r, i, s)` builds the evidence for one
+dominated strategy, and `verify(r, i, s, cert)` re-checks evidence by
+substitution.  Certificates are canonical: the first dominator in pool
+order, the first better pool strategy at each joint, the first weak
+dominator on each subset of joints in odometer order, the mixture the
+max-min LP finds, and an intersection's certificate part by part.  Only a
+trace asks for them, through the module-level `certify`.
 
 A decision reads player i's payoff rows over the pool once, with the
 pool's column maxima (one column per opponent joint of R).  A strategy of
@@ -29,16 +37,9 @@ mixed pool strategy beats it there, a pure belief makes it a best
 response, and the singleton subset of that joint refutes its inherent
 dominance.  Only the strategies meeting no column maximum are examined
 further, and under pure beliefs each of them is a never best response.
-Certificates are canonical: the first dominator in pool order, the first
-better pool strategy at each joint, the first weak dominator on each
-subset of joints in odometer order, and the mixture the max-min LP finds.
-
-`StrictMixed` runs the max-min LP only on a strategy that no pure pool
-strategy beats.  One that a pure rival beats is dominated (the rival is a
-mixture), so it gets a deferred `MixedDominator`, whose LP runs the first
-time its mixture or margin is read and gives the certificate the eager LP
-would.  The order walk and the step checkers read only which strategies
-are dominated, so they solve none; a trace solves one per removal written.
+`StrictMixed` runs the max-min LP to decide only a strategy that no pure
+pool strategy beats: one that a pure rival beats is dominated, since the
+rival is a mixture.
 
 Under correlated beliefs, and independent ones on two players (where an
 independent belief is a distribution over the one opponent's strategies),
@@ -53,17 +54,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import (
-    AssumptionViolated,
-    DegenerateDominator,
-    InvalidCertificate,
-    StructuralError,
-    UnsupportedConfiguration,
-)
+from .errors import AssumptionViolated, StructuralError, UnsupportedConfiguration
 from .game import (
-    ONE,
     ZERO,
     BeliefMode,
     MixedStrategy,
@@ -84,6 +78,11 @@ def _pool(rel, r: Restriction, i: int) -> Sequence[int]:
     return range(r.game.sizes[i]) if rel.global_pool else r.kept[i]
 
 
+def _rivals(rel, r: Restriction, i: int, s: int) -> list[int]:
+    """The pool less `s`: what a mixed dominator of `s` may use."""
+    return [t for t in _pool(rel, r, i) if t != s]
+
+
 @dataclass(frozen=True)
 class StrictPure:
     global_pool: bool = False
@@ -93,13 +92,16 @@ class StrictPure:
     def name(self) -> str:
         return "global-strict-pure" if self.global_pool else "strict-pure"
 
-    def dominated(self, r: Restriction, i: int) -> Iterator[tuple[int, PureDominator]]:
-        pool = _pool(self, r, i)
-        rows, candidates = _candidates(r, i, pool)
+    def dominated(self, r: Restriction, i: int) -> Iterator[int]:
+        rows, candidates = _candidates(r, i, _pool(self, r, i))
         for s, mine in candidates:
-            t = next((t for t, row in zip(pool, rows) if _above(row, mine)), None)
-            if t is not None:
-                yield s, PureDominator(t)
+            if any(_above(row, mine) for row in rows):
+                yield s
+
+    def certify(self, r: Restriction, i: int, s: int) -> PureDominator:
+        pool = _pool(self, r, i)
+        mine, *rows = r.payoff_rows(i, [s, *pool])
+        return PureDominator(next(t for t, row in zip(pool, rows) if _above(row, mine)))
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, PureDominator) or cert.strategy not in _pool(self, r, i):
@@ -116,18 +118,18 @@ class StrictMixed:
     def name(self) -> str:
         return "global-strict-mixed" if self.global_pool else "strict-mixed"
 
-    def dominated(self, r: Restriction, i: int) -> Iterator[tuple[int, MixedDominator]]:
-        pool = _pool(self, r, i)
-        rows, candidates = _candidates(r, i, pool)
+    def dominated(self, r: Restriction, i: int) -> Iterator[int]:
+        rows, candidates = _candidates(r, i, _pool(self, r, i))
         for s, mine in candidates:
-            rivals = [t for t in pool if t != s]
-            if any(_above(row, mine) for row in rows):
-                # A pure rival beats s, so the margin is positive: solve on read.
-                yield s, MixedDominator.deferred(r, i, s, rivals)
-            else:
-                eps, mixed = max_min_advantage(r, i, s, rivals)
-                if eps > 0:
-                    yield s, MixedDominator(mixed, eps)
+            # A pure rival that beats s is a mixture that does: no LP needed.
+            if any(_above(row, mine) for row in rows) or (
+                max_min_advantage(r, i, s, _rivals(self, r, i, s))[0] > 0
+            ):
+                yield s
+
+    def certify(self, r: Restriction, i: int, s: int) -> MixedDominator:
+        eps, mixed = max_min_advantage(r, i, s, _rivals(self, r, i, s))
+        return MixedDominator(mixed, eps)
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, MixedDominator) or cert.eps <= 0:
@@ -151,28 +153,27 @@ class NeverBestResponse:
     def belief_mode(self) -> BeliefMode:
         return self.mode
 
-    def dominated(self, r: Restriction, i: int) -> Iterator[tuple[int, NeverBest]]:
+    def dominated(self, r: Restriction, i: int) -> Iterable[int]:
         if self.mode is BeliefMode.PURE:
             # A strategy meeting no column maximum is beaten at every joint.
-            pool = _pool(self, r, i)
-            rows, candidates = _candidates(r, i, pool)
-            opps = r.opponent_joints(i) if candidates else ()
-            for s, mine in candidates:
-                better = tuple(
-                    (opp, next(t for t, row in zip(pool, rows) if row[k] > m))
-                    for k, (opp, m) in enumerate(zip(opps, mine))
-                )
-                yield s, NeverBest(self.mode, self.global_pool, better)
-            return
+            return [s for s, _ in _candidates(r, i, _pool(self, r, i))[1]]
         if self.mode is BeliefMode.MIXED_INDEPENDENT and r.n > 2:
             raise UnsupportedConfiguration(
                 "independent mixed beliefs with 3+ players are not decidable here"
             )
         # LP duality: never a best response iff strictly dominated by a mixture.
-        mixed = _dominated_entries(StrictMixed(self.global_pool), r)
-        for s in r.kept[i]:
-            if (i, s) in mixed:
-                yield s, NeverBest(self.mode, self.global_pool)
+        return [s for j, s in _dominated_keys(StrictMixed(self.global_pool), r) if j == i]
+
+    def certify(self, r: Restriction, i: int, s: int) -> NeverBest:
+        if self.mode is not BeliefMode.PURE:
+            return NeverBest(self.mode, self.global_pool)
+        pool = _pool(self, r, i)
+        mine, *rows = r.payoff_rows(i, [s, *pool])
+        better = tuple(
+            (opp, next(t for t, row in zip(pool, rows) if row[k] > m))
+            for k, (opp, m) in enumerate(zip(r.opponent_joints(i), mine))
+        )
+        return NeverBest(self.mode, self.global_pool, better)
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, NeverBest):
@@ -181,7 +182,7 @@ class NeverBestResponse:
             return False
         if self.mode is not BeliefMode.PURE:
             # The LP-mode evidence is the decision itself: recompute it.
-            return not cert.better and is_dominated(self, r, i, s) is not None
+            return not cert.better and is_dominated(self, r, i, s)
         # One strictly better pool strategy at each opponent joint of R.
         opps = r.opponent_joints(i)
         joints = [opp for opp, _ in cert.better]
@@ -201,14 +202,24 @@ class Inherent:
     name = "inherent"
     belief_mode = None
 
-    def dominated(self, r: Restriction, i: int) -> Iterator[tuple[int, InherentEvidence]]:
-        opps = _inherent_joints(r, i)
+    def dominated(self, r: Restriction, i: int) -> Iterator[int]:
+        n_joints = len(_inherent_joints(r, i))
         pool = r.kept[i]
         rows, candidates = _candidates(r, i, pool)
         for s, mine in candidates:
-            ev = _inherent_evidence(opps, pool, rows, mine)
-            if ev is not None:
-                yield s, ev
+            if all(t is not None for _, t in _weak_dominators(n_joints, pool, rows, mine)):
+                yield s
+
+    def certify(self, r: Restriction, i: int, s: int) -> InherentEvidence:
+        opps = _inherent_joints(r, i)
+        pool = r.kept[i]
+        mine, *rows = r.payoff_rows(i, [s, *pool])
+        return InherentEvidence(
+            tuple(
+                (tuple(opps[k] for k in ks), t)
+                for ks, t in _weak_dominators(len(opps), pool, rows, mine)
+            )
+        )
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, InherentEvidence):
@@ -240,6 +251,9 @@ class Intersection:
         return next(
             (p.belief_mode for p in self.parts if p.belief_mode is not None), None
         )
+
+    def certify(self, r: Restriction, i: int, s: int) -> IntersectionEvidence:
+        return IntersectionEvidence(tuple(p.certify(r, i, s) for p in self.parts))
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, IntersectionEvidence) or len(cert.parts) != len(self.parts):
@@ -284,55 +298,12 @@ class PureDominator:
     strategy: int
 
 
+@dataclass(frozen=True)
 class MixedDominator:
-    """A mixture of the pool less s; eps is its least advantage over s.
+    """A mixture of the pool less s; eps is its least advantage over s."""
 
-    `deferred(r, i, s, rivals)` stands for the certificate the max-min LP
-    over `rivals` gives, for an `s` that a pure rival is known to beat.  The
-    LP runs the first time `mixed` or `eps` is read (equality, hash and repr
-    read them too), and the result replaces the problem, so an unread
-    certificate costs no LP and a read one exactly one.
-    """
-
-    __slots__ = ("_problem", "_solution")
-
-    def __init__(self, mixed: MixedStrategy, eps: Fraction):
-        self._problem, self._solution = None, (mixed, eps)
-
-    @classmethod
-    def deferred(
-        cls, r: Restriction, i: int, s: int, rivals: Sequence[int]
-    ) -> MixedDominator:
-        cert = cls.__new__(cls)
-        cert._problem = (r, i, s, rivals)
-        return cert
-
-    def _solved(self) -> tuple[MixedStrategy, Fraction]:
-        if self._problem is not None:
-            eps, mixed = max_min_advantage(*self._problem)
-            assert eps > 0  # a pure rival beats s
-            self._problem, self._solution = None, (mixed, eps)
-        return self._solution
-
-    @property
-    def mixed(self) -> MixedStrategy:
-        return self._solved()[0]
-
-    @property
-    def eps(self) -> Fraction:
-        return self._solved()[1]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._solved() == other._solved()
-
-    def __hash__(self):
-        return hash(self._solved())
-
-    def __repr__(self):
-        mixed, eps = self._solved()
-        return f"MixedDominator(mixed={mixed!r}, eps={eps!r})"
+    mixed: MixedStrategy
+    eps: Fraction
 
 
 @dataclass(frozen=True)
@@ -340,10 +311,11 @@ class NeverBest:
     """Evidence that no belief admits `s` as a best response.
 
     In PURE mode `better` pairs each opponent joint with a strictly better
-    pool strategy, and is checked by substitution.  In the LP modes
-    `better` is empty: the evidence is that the best-response program is
-    infeasible, which holds exactly when a mixture of the pool less `s`
-    beats `s`, and the verifier recomputes that decision.
+    pool strategy, and is checked by substitution; `certify` finds it, the
+    decision never does.  In the LP modes `better` is empty: the evidence
+    is that the best-response program is infeasible, which holds exactly
+    when a mixture of the pool less `s` beats `s`, and the verifier asks
+    that decision (the `StrictMixed` keys) again.
     """
 
     mode: BeliefMode
@@ -444,100 +416,106 @@ def _inherent_joints(r: Restriction, i: int) -> tuple[tuple[int, ...], ...]:
     return opps
 
 
-def _inherent_evidence(
-    opps: Sequence[tuple[int, ...]],
+def _weak_dominators(
+    n_joints: int,
     pool: Sequence[int],
     rows: Sequence[Sequence[Payoff]],
     mine: Sequence[Payoff],
-) -> Optional[InherentEvidence]:
-    """The first pool strategy weakly above `mine` on each nonempty subset
-    of `opps` (the columns of `rows`), in odometer order; None once a
-    subset has none.  A row equal to `mine` is never weakly above it."""
-    found = []
-    for ks in _nonempty_subsets(range(len(opps))):
-        dom = next((t for t, row in zip(pool, rows) if _weakly_above(row, mine, ks)), None)
-        if dom is None:
-            return None
-        found.append((ks, dom))
-    return InherentEvidence(tuple((tuple(opps[k] for k in ks), t) for ks, t in found))
+) -> Iterator[tuple[tuple[int, ...], Optional[int]]]:
+    """Per nonempty subset of the `n_joints` columns of `rows`, in odometer
+    order, its positions and the first pool strategy weakly above `mine`
+    there, or None.  A row equal to `mine` is never weakly above it."""
+    for ks in _nonempty_subsets(range(n_joints)):
+        yield ks, next((t for t, row in zip(pool, rows) if _weakly_above(row, mine, ks)), None)
 
 
 def is_inherently_dominated(
     r: Restriction, i: int, s: int
 ) -> tuple[bool, Optional[InherentEvidence]]:
-    """Weakly dominated given every nonempty subset of opponent joints."""
+    """Weakly dominated given every nonempty subset of opponent joints, with
+    the evidence `Inherent.certify` builds.  No decision calls this
+    per-strategy form; the benchmark's tracer wraps it by name."""
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
     opps = _inherent_joints(r, i)
     mine, *rows = r.payoff_rows(i, [s, *r.kept[i]])
-    ev = _inherent_evidence(opps, r.kept[i], rows, mine)
-    return ev is not None, ev
+    if any(t is None for _, t in _weak_dominators(len(opps), r.kept[i], rows, mine)):
+        return False, None
+    return True, Inherent().certify(r, i, s)
 
 
 # ---------------------------------------------------------------------------
 # Membership and dominated sets
 
 
-def is_dominated(rel: Relation, r: Restriction, i: int, s: int) -> Optional[Certificate]:
-    """Certificate if (i, s) is rel-dominated in r, else None; read from the memo."""
+def is_dominated(rel: Relation, r: Restriction, i: int, s: int) -> bool:
+    """Whether (i, s) is rel-dominated in r; read from the memo."""
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
-    return _dominated_entries(rel, r).get((i, s))
+    return (i, s) in _dominated_keys(rel, r)
 
 
-def _dominated_entries(rel: Relation, r: Restriction) -> dict[tuple[int, int], Certificate]:
-    """The memo: rel's dominated strategies of r with certificates, in
-    canonical order, kept in `r.game.memo` for as long as the game lives.
+def _dominated_keys(rel: Relation, r: Restriction) -> tuple[tuple[int, int], ...]:
+    """The memo: rel's dominated strategies of r as (player, strategy) keys,
+    in canonical order, kept in `r.game.memo` for as long as the game lives.
 
-    Callers must not mutate the dict.  An intersection keeps the keys every
-    part dominates, reading each part's entries once.  Parts are read in
-    order and the scan stops once no key is left, so a part is evaluated
-    exactly when some strategy is dominated under every earlier part.
+    An intersection keeps the keys every part holds, reading each part's
+    keys once.  Parts are read in order and the scan stops once no key is
+    left, so a part is evaluated exactly when some strategy is dominated
+    under every earlier part.
     """
     memo = r.game.memo
-    out = memo.get((rel, r))
-    if out is not None:
-        return out
+    keys = memo.get((rel, r))
+    if keys is not None:
+        return keys
     if isinstance(rel, Intersection):
-        parts = [_dominated_entries(rel.parts[0], r)]
-        keys = list(parts[0])
+        keys = _dominated_keys(rel.parts[0], r)
         for part in rel.parts[1:]:
             if not keys:
                 break
-            certs = _dominated_entries(part, r)
-            keys = [key for key in keys if key in certs]
-            parts.append(certs)
-        out = {key: IntersectionEvidence(tuple(c[key] for c in parts)) for key in keys}
+            held = _dominated_keys(part, r)
+            keys = tuple(key for key in keys if key in held)
     else:
-        out = {(i, s): cert for i in range(r.n) for s, cert in rel.dominated(r, i)}
-    memo[(rel, r)] = out
-    return out
+        keys = tuple((i, s) for i in range(r.n) for s in rel.dominated(r, i))
+    memo[(rel, r)] = keys
+    return keys
 
 
 def dominated_set(
     rel: Relation, r: Restriction, validate: bool = True
-) -> dict[tuple[int, int], Certificate]:
-    """All rel-dominated strategies of r with certificates, canonical order.
+) -> tuple[tuple[int, int], ...]:
+    """All rel-dominated strategies of r as keys, canonical order.
 
     With `validate` (the default) every player must keep at least one
     undominated strategy; a violation raises AssumptionViolated and marks
     a defect, since reachable restrictions never trip it.
     """
-    entries = _dominated_entries(rel, r)
+    keys = _dominated_keys(rel, r)
     if validate:
         dominated_count = [0] * r.n
-        for i, _ in entries:
+        for i, _ in keys:
             dominated_count[i] += 1
         for i, ks in enumerate(r.kept):
             if dominated_count[i] == len(ks):
                 raise AssumptionViolated(
                     f"player {i} has no {rel.name}-undominated strategy"
                 )
-    return dict(entries)
+    return keys
 
 
 # ---------------------------------------------------------------------------
-# Certificate re-verification
+# Certificates and their re-verification
+
+
+def certify(rel: Relation, r: Restriction, i: int, s: int) -> Certificate:
+    """The canonical certificate that (i, s) is rel-dominated in r.
+
+    Raises StructuralError when it is not, so evidence is built only for a
+    key the decision holds.
+    """
+    if (i, s) not in _dominated_keys(rel, r):
+        raise StructuralError(f"strategy {s} of player {i} is not {rel.name}-dominated")
+    return rel.certify(r, i, s)
 
 
 def verify_certificate(
@@ -554,80 +532,3 @@ def _mixed_margin(r: Restriction, i: int, m: MixedStrategy, s: int) -> Fraction:
         sum((w * row[k] for (_, w), row in zip(m.weights, rows)), ZERO) - base
         for k, base in enumerate(mine)
     )
-
-
-def mixed_strictly_dominates(r: Restriction, i: int, m: MixedStrategy, s: int) -> bool:
-    """Exact check that mixture `m` beats `s` on every opponent joint of R."""
-    return _mixed_margin(r, i, m, s) > 0
-
-
-# ---------------------------------------------------------------------------
-# Mixed-strategy surgery (persistence construction)
-
-
-def renormalize_without(m: MixedStrategy, s: int) -> tuple[Fraction, MixedStrategy]:
-    """Split m = (1-alpha) * point(s) + alpha * n with s outside support(n)."""
-    ws = m.weight(s)
-    if ws == 1:
-        raise DegenerateDominator("mixed strategy is the point mass on the avoided strategy")
-    alpha = ONE - ws
-    n = MixedStrategy.of(m.player, {t: w / alpha for t, w in m.weights if t != s})
-    return alpha, n
-
-
-def substitute(m: MixedStrategy, s: int, m2: MixedStrategy) -> MixedStrategy:
-    """Replace s inside m by the mixture m2; stays a distribution exactly."""
-    if m.player != m2.player:
-        raise StructuralError("substitution across players")
-    ws = m.weight(s)
-    if ws == 0:
-        return m
-    out = {t: w for t, w in m.weights if t != s}
-    for t, w in m2.weights:
-        out[t] = out.get(t, ZERO) + ws * w
-    return MixedStrategy.of(m.player, out)
-
-
-def persist_dominator(
-    r: Restriction,
-    r2: Restriction,
-    eliminated: Sequence[tuple[int, MixedStrategy]],
-    i: int,
-    s: int,
-    m: MixedStrategy,
-) -> MixedStrategy:
-    """Rebase a dominator of s in R onto the survivors of a step R -> R2.
-
-    `eliminated` lists player i's removed strategies t^j with mixtures m^j
-    dominating them in R.  Inductively rewrites each m^j to avoid all
-    previously removed strategies, then substitutes through m.  The result
-    is supported inside R2 and still strictly dominates s in R; both facts
-    are re-verified before returning.
-    """
-    removed = set(r.kept[i]) - set(r2.kept[i])
-    if {t for t, _ in eliminated} != removed:
-        raise InvalidCertificate("eliminated list does not match the step")
-    for t, mj in eliminated:
-        if mj.player != i or not mixed_strictly_dominates(r, i, mj, t):
-            raise InvalidCertificate(f"claimed dominator of {t} does not dominate it in R")
-    if m.player != i or not mixed_strictly_dominates(r, i, m, s):
-        raise InvalidCertificate("claimed dominator of s does not dominate it in R")
-
-    ts: list[int] = []
-    ns: list[MixedStrategy] = []
-    for t_j, m_j in eliminated:
-        rewritten = m_j
-        for t_prev, n_prev in zip(ts, ns):
-            rewritten = substitute(rewritten, t_prev, n_prev)
-        _, n_j = renormalize_without(rewritten, t_j)
-        ts.append(t_j)
-        ns.append(n_j)
-    result = m
-    for t_j, n_j in zip(ts, ns):
-        result = substitute(result, t_j, n_j)
-
-    if not set(result.support) <= set(r2.kept[i]):
-        raise InvalidCertificate("persisted dominator escapes the reduced restriction")
-    if not mixed_strictly_dominates(r, i, result, s):
-        raise InvalidCertificate("persisted dominator lost strict dominance")
-    return result

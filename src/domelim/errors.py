@@ -37,10 +37,6 @@ class AssumptionViolated(DomelimError):
     """
 
 
-class DegenerateDominator(DomelimError):
-    """A mixed strategy placing all weight on the strategy it should avoid."""
-
-
 class InvalidCertificate(DomelimError):
     """A dominance certificate that fails re-verification by substitution."""
 

@@ -129,7 +129,7 @@ class Game:
 
     @cached_property
     def memo(self) -> dict:
-        """(relation, restriction) -> dominated set, filled by `dominance`."""
+        """(relation, restriction) -> its dominated keys, filled by `dominance`."""
         return {}
 
     @property
@@ -327,14 +327,3 @@ class CorrelatedBelief:
             raise StructuralError("negative probability")
         return cls(player, kept)
 
-
-def expected_payoff(g: Game, i: int, s_i: int, belief: CorrelatedBelief) -> Fraction:
-    """Exact expected payoff of playing `s_i` against `belief`."""
-    if not isinstance(belief, CorrelatedBelief):
-        raise StructuralError(f"not a belief: {type(belief).__name__}")
-    if belief.player != i:
-        raise StructuralError("belief belongs to a different player")
-    full = Restriction.full(g)
-    (row,) = full.payoff_rows(i, [s_i])
-    ks = full.opponent_positions(i, (opp for opp, _ in belief.probs))
-    return sum((p * row[k] for (_, p), k in zip(belief.probs, ks)), ZERO)

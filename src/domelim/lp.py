@@ -23,9 +23,9 @@ opponent joints k, built from the payoff kernel's exact values.
 fixed pure strategy, is the engine's one LP decision: strict-mixed
 dominance, and by LP duality never-best-response under correlated (or
 two-player independent) beliefs, both read its sign.  It decides only a
-strategy that no pure pool strategy beats; for one that a pure rival
-beats it runs once, when that strategy's certificate is first read (see
-`dominance`).
+strategy that no pure pool strategy beats, and it finds the mixture of
+each strict-mixed certificate, which is built only when a trace writes
+the removal (see `dominance.certify`).
 `best_response_feasible` solves the dual feasibility LP for a belief
 against which a strategy is a best response; no decision calls it.  It is
 the witness oracle, and the independent side of the duality cross-checks.

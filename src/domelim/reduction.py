@@ -9,15 +9,18 @@ the current restriction.  Policies fix which step to take:
 
 The order graph takes every step: one per nonempty subset of the dominated
 set.  A relation is order independent on a game exactly when one
-irreducible restriction is reachable in it.  One lazy depth-first walk,
-`_walk`, serves `all_outcomes` (the irreducible restrictions),
+irreducible restriction is reachable in it.  A step records only the
+(player, strategy) keys it removes, in canonical order; a trace document
+asks `dominance.certify` for the evidence of each.
+
+One lazy depth-first walk, `_walk`, serves `all_outcomes` (the irreducible restrictions),
 `reachable_restrictions` (all of them) and `reachable_steps` (every step).
 It builds a `Restriction` only for a child whose kept tuple it has not
 seen, and every step to that child reuses it.  It builds that child
 unchecked (`Restriction._child`): the child is its valid parent less some
 dominated strategies, and `dominated_set` has checked that every player
-keeps an undominated one.  Children come in bitmask
-order over the sorted dominated keys.  A budget caps the restrictions
+keeps an undominated one.  Children come in bitmask order over the
+dominated keys.  A budget caps the restrictions
 admitted; past it, unseen children are dropped.  `all_outcomes` then
 reports `complete=False` with the partial outcome set,
 `reachable_restrictions` raises UnsupportedConfiguration, and
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Union
 
-from .dominance import Certificate, Relation, dominated_set, is_dominated
+from .dominance import Relation, dominated_set, is_dominated
 from .errors import StructuralError, UnsupportedConfiguration
 from .game import Game, Restriction, restriction_leq
 
@@ -72,7 +75,7 @@ def policy_name(policy: OrderPolicy) -> str:
 class ReductionStep:
     before: Restriction
     after: Restriction
-    removed: tuple[tuple[tuple[int, int], Certificate], ...]
+    removed: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.after == self.before:
@@ -90,9 +93,8 @@ class Trace:
     outcome: Restriction
 
 
-def _step(r: Restriction, chosen: dict) -> ReductionStep:
-    after = r.remove(chosen.keys())
-    return ReductionStep(r, after, tuple(sorted(chosen.items())))
+def _step(r: Restriction, removed: tuple[tuple[int, int], ...]) -> ReductionStep:
+    return ReductionStep(r, r.remove(removed), removed)
 
 
 def successors(
@@ -105,17 +107,14 @@ def successors(
     dom = dominated_set(rel, r)
     if not dom:
         return []
-    keys = sorted(dom)
     if isinstance(policy, FullSpeed):
         return [_step(r, dom)]
     if isinstance(policy, SingleLex):
-        k = keys[0]
-        return [_step(r, {k: dom[k]})]
+        return [_step(r, dom[:1])]
     if isinstance(policy, SingleRandom):
         if rng is None:
             rng = random.Random(policy.seed)
-        k = keys[rng.randrange(len(keys))]
-        return [_step(r, {k: dom[k]})]
+        return [_step(r, (dom[rng.randrange(len(dom))],))]
     raise StructuralError(f"not a policy: {type(policy).__name__}")
 
 
@@ -140,14 +139,14 @@ class OutcomeSearch:
 
 
 def _child_kepts(
-    r: Restriction, keys: list[tuple[int, int]]
+    r: Restriction, keys: tuple[tuple[int, int], ...]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Kept tuples of `r.remove(subset)` for every nonempty subset of the
-    sorted `keys`, in bitmask order (low bit = first key).
+    canonically ordered `keys`, in bitmask order (low bit = first key).
 
-    Sorted keys group each player's bits together, lowest player lowest, so
-    bitmask order is an odometer over per-player choices with player 0
-    varying fastest.
+    Canonical keys group each player's bits together, lowest player
+    lowest, so bitmask order is an odometer over per-player choices with
+    player 0 varying fastest.
     """
     options = []
     for i, ks in enumerate(r.kept):
@@ -165,10 +164,10 @@ def _child_kepts(
 
 def _walk(
     rel: Relation, g: Game, budget: int
-) -> Iterator[tuple[Restriction, dict, list[Optional[Restriction]]]]:
+) -> Iterator[tuple[Restriction, tuple, list[Optional[Restriction]]]]:
     """Depth-first walk of the order graph from the full game.
 
-    Yields each admitted restriction once, with its dominated set and its
+    Yields each admitted restriction once, with its dominated keys and its
     children in bitmask order: a child's `Restriction`, or None where the
     budget dropped it.  A child is admitted while fewer than `budget`
     restrictions are.
@@ -181,7 +180,7 @@ def _walk(
         dom = dominated_set(rel, r)
         children: list[Optional[Restriction]] = []
         if dom:
-            for kept in _child_kepts(r, sorted(dom)):
+            for kept in _child_kepts(r, dom):
                 child = seen.get(kept)
                 if child is None and len(seen) < budget:
                     child = seen[kept] = Restriction._child(g, kept)
@@ -238,21 +237,18 @@ def reachable_steps(
     restriction the budget leaves out.
     """
     for r, dom, children in _walk(rel, g, budget):
-        keys = sorted(dom)
         for mask, child in enumerate(children, start=1):
             if child is None:
                 raise _budget_exceeded(rel, budget)
-            removed = tuple(
-                (k, dom[k]) for j, k in enumerate(keys) if mask >> j & 1
-            )
+            removed = tuple(k for j, k in enumerate(dom) if mask >> j & 1)
             yield ReductionStep(r, child, removed)
 
 
 def check_hereditary_step(rel: Relation, step: ReductionStep) -> Optional[tuple[int, int]]:
     """First surviving strategy dominated before the step but not after."""
     for i, s in step.after.strategies():
-        if is_dominated(rel, step.before, i, s) is not None:
-            if is_dominated(rel, step.after, i, s) is None:
+        if is_dominated(rel, step.before, i, s):
+            if not is_dominated(rel, step.after, i, s):
                 return (i, s)
     return None
 
@@ -264,8 +260,8 @@ def check_monotonic_pair(
     if not restriction_leq(r2, r):
         raise StructuralError("second restriction is not contained in the first")
     for i, s in r2.strategies():
-        if is_dominated(rel, r, i, s) is not None:
-            if is_dominated(rel, r2, i, s) is None:
+        if is_dominated(rel, r, i, s):
+            if not is_dominated(rel, r2, i, s):
                 return (i, s)
     return None
 
@@ -274,7 +270,7 @@ def check_proof_shape(rel: Relation, step: ReductionStep) -> bool:
     """Weak-confluence shape: R' equals the full-speed reduct or steps to it."""
     r, r_prime = step.before, step.after
     dom = dominated_set(rel, r)
-    r_full = r.remove(dom.keys())
+    r_full = r.remove(dom)
     if r_prime == r_full:
         return True
     # R'' is inside R'; the residue must be a valid single step of R'.
@@ -283,4 +279,4 @@ def check_proof_shape(rel: Relation, step: ReductionStep) -> bool:
     residue = [
         (i, s) for i, s in r_prime.strategies() if not r_full.contains(i, s)
     ]
-    return all(is_dominated(rel, r_prime, i, s) is not None for i, s in residue)
+    return all(is_dominated(rel, r_prime, i, s) for i, s in residue)

@@ -2,8 +2,10 @@
 
 Rationals travel as strings ("p/q", or "p" when the denominator is 1);
 players are 1-based and strategies are labels, so documents stay readable
-next to the game file they came from.  Certificates round-trip and can be
-re-verified against a freshly parsed game.
+next to the game file they came from.  A step of a `Trace` holds only the
+keys it removes; writing the document builds each removal's certificate
+with `dominance.certify`.  Certificates round-trip and can be re-verified
+against a freshly parsed game.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .dominance import (
     NeverBest,
     PureDominator,
     Relation,
+    certify,
     dominated_set,
     parse_relation,
     verify_certificate,
@@ -167,9 +170,11 @@ def trace_to_document(trace: Trace) -> dict:
                     {
                         "player": i + 1,
                         "strategy": _label(g, i, s),
-                        "certificate": certificate_to_json(g, i, cert),
+                        "certificate": certificate_to_json(
+                            g, i, certify(trace.relation, step.before, i, s)
+                        ),
                     }
-                    for (i, s), cert in step.removed
+                    for i, s in step.removed
                 ],
                 "policy": policy_name(trace.policy),
             }

@@ -13,11 +13,16 @@ order, the restrictions it admits under every budget.
 past its budget without saying so; it marks the steps whose target it left
 out.  `decide_reference` is the engine's former per-strategy decision of
 each simple relation, with its pure-best-response prefilter; the
-per-player kernel must yield the same dominated sets and certificates.
+per-player kernel must yield the same dominated sets, and `certify` the
+same certificates.
 `payoff`, `joints` and `full_joint` read single payoffs straight
-from a game's flat tensor, validating every index, and `check_feasible`
-substitutes a candidate solution into a program: reference readers for
-the engine's payoff kernel and simplex.
+from a game's flat tensor, validating every index, `expected_payoff`
+averages them under a belief, and `check_feasible` substitutes a
+candidate solution into a program: reference readers for the engine's
+payoff kernel and simplex.  `persist_dominator`, with
+`renormalize_without`, `substitute` and `mixed_strictly_dominates`, is
+the persistence construction of acceptance criterion 4: a mixed dominator
+rebased onto the survivors of a step still dominates.
 """
 
 from __future__ import annotations
@@ -39,8 +44,13 @@ from domelim.dominance import (
     StrictPure,
     dominated_set,
 )
-from domelim.errors import StructuralError, UnsupportedConfiguration
-from domelim.game import BeliefMode, Game, Restriction
+from domelim.errors import (
+    DomelimError,
+    InvalidCertificate,
+    StructuralError,
+    UnsupportedConfiguration,
+)
+from domelim.game import BeliefMode, CorrelatedBelief, Game, MixedStrategy, Restriction
 from domelim.lp import (
     EQ,
     GEQ,
@@ -87,6 +97,18 @@ def full_joint(r: Restriction, i: int, s: int, opp) -> tuple[int, ...]:
     if len(opp) != r.n - 1:
         raise StructuralError("opponent joint has wrong arity")
     return tuple(opp[:i]) + (s,) + tuple(opp[i:])
+
+
+def expected_payoff(g: Game, i: int, s_i: int, belief: CorrelatedBelief) -> Fraction:
+    """Exact expected payoff of playing `s_i` against `belief`."""
+    if not isinstance(belief, CorrelatedBelief):
+        raise StructuralError(f"not a belief: {type(belief).__name__}")
+    if belief.player != i:
+        raise StructuralError("belief belongs to a different player")
+    full = Restriction.full(g)
+    return sum(
+        (p * payoff(g, i, full_joint(full, i, s_i, opp)) for opp, p in belief.probs), ZERO
+    )
 
 
 def check_feasible(lp: LinearProgram, x) -> bool:
@@ -413,6 +435,78 @@ def decide_reference(rel: Relation, r: Restriction, i: int, s: int):
     raise StructuralError(f"not a simple relation: {rel!r}")
 
 
+def mixed_strictly_dominates(r: Restriction, i: int, m: MixedStrategy, s: int) -> bool:
+    """Exact check that mixture `m` beats `s` on every opponent joint of R."""
+    base = payoff_row(r, i, s)
+    rows = [(w, payoff_row(r, i, t)) for t, w in m.weights]
+    return all(sum((w * row[k] for w, row in rows), ZERO) > b for k, b in enumerate(base))
+
+
+class DegenerateDominator(DomelimError):
+    """A mixed strategy placing all weight on the strategy it should avoid."""
+
+
+def renormalize_without(m: MixedStrategy, s: int) -> tuple[Fraction, MixedStrategy]:
+    """Split m = (1-alpha) * point(s) + alpha * n with s outside support(n)."""
+    ws = m.weight(s)
+    if ws == 1:
+        raise DegenerateDominator("mixed strategy is the point mass on the avoided strategy")
+    alpha = ONE - ws
+    n = MixedStrategy.of(m.player, {t: w / alpha for t, w in m.weights if t != s})
+    return alpha, n
+
+
+def substitute(m: MixedStrategy, s: int, m2: MixedStrategy) -> MixedStrategy:
+    """Replace s inside m by the mixture m2; stays a distribution exactly."""
+    if m.player != m2.player:
+        raise StructuralError("substitution across players")
+    ws = m.weight(s)
+    if ws == 0:
+        return m
+    out = {t: w for t, w in m.weights if t != s}
+    for t, w in m2.weights:
+        out[t] = out.get(t, ZERO) + ws * w
+    return MixedStrategy.of(m.player, out)
+
+
+def persist_dominator(r: Restriction, r2: Restriction, eliminated, i: int, s: int, m):
+    """Rebase a dominator of s in R onto the survivors of a step R -> R2.
+
+    `eliminated` lists player i's removed strategies t^j with mixtures m^j
+    dominating them in R.  Inductively rewrites each m^j to avoid all
+    previously removed strategies, then substitutes through m.  The result
+    is supported inside R2 and still strictly dominates s in R; both facts
+    are re-verified before returning.
+    """
+    removed = set(r.kept[i]) - set(r2.kept[i])
+    if {t for t, _ in eliminated} != removed:
+        raise InvalidCertificate("eliminated list does not match the step")
+    for t, mj in eliminated:
+        if mj.player != i or not mixed_strictly_dominates(r, i, mj, t):
+            raise InvalidCertificate(f"claimed dominator of {t} does not dominate it in R")
+    if m.player != i or not mixed_strictly_dominates(r, i, m, s):
+        raise InvalidCertificate("claimed dominator of s does not dominate it in R")
+
+    ts: list[int] = []
+    ns: list[MixedStrategy] = []
+    for t_j, m_j in eliminated:
+        rewritten = m_j
+        for t_prev, n_prev in zip(ts, ns):
+            rewritten = substitute(rewritten, t_prev, n_prev)
+        _, n_j = renormalize_without(rewritten, t_j)
+        ts.append(t_j)
+        ns.append(n_j)
+    result = m
+    for t_j, n_j in zip(ts, ns):
+        result = substitute(result, t_j, n_j)
+
+    if not set(result.support) <= set(r2.kept[i]):
+        raise InvalidCertificate("persisted dominator escapes the reduced restriction")
+    if not mixed_strictly_dominates(r, i, result, s):
+        raise InvalidCertificate("persisted dominator lost strict dominance")
+    return result
+
+
 def all_outcomes_reference(
     rel: Relation, g: Game, budget: int = DEFAULT_BUDGET
 ) -> OutcomeSearch:
@@ -454,11 +548,10 @@ def reachable_steps_reference(rel: Relation, g: Game, budget: int = DEFAULT_BUDG
     stack = [start]
     while stack:
         r = stack.pop()
-        dom = dominated_set(rel, r)
-        keys = sorted(dom)
+        keys = sorted(dominated_set(rel, r))
         for mask in range(1, 1 << len(keys)):
-            sub = {k: dom[k] for j, k in enumerate(keys) if mask >> j & 1}
-            step = ReductionStep(r, r.remove(sub.keys()), tuple(sorted(sub.items())))
+            removed = tuple(k for j, k in enumerate(keys) if mask >> j & 1)
+            step = ReductionStep(r, r.remove(removed), removed)
             dropped = step.after not in seen and len(seen) >= budget
             yield step, dropped
             if step.after not in seen and len(seen) < budget:

@@ -21,9 +21,8 @@ from domelim.dominance import (
     NeverBestResponse,
     StrictMixed,
     StrictPure,
+    certify,
     dominated_set,
-    mixed_strictly_dominates,
-    persist_dominator,
 )
 from domelim.game import BeliefMode, Restriction
 from domelim.gamefile import parse_game, write_game
@@ -43,6 +42,7 @@ from domelim.reduction import (
 from domelim.tracedoc import dump_trace, verify_trace_document
 
 from fixtures import G_BELIEF, G_MIX, G_PD
+from oracles import mixed_strictly_dominates, persist_dominator
 
 SUITE_SEED = 2024
 TWO_PLAYER_GAMES = 200
@@ -115,14 +115,12 @@ def sample_steps(suite, rel, quota, per_restriction=4, seed=0):
             dom = dominated_set(rel, r)
             if not dom:
                 continue
-            keys = sorted(dom)
-            masks = range(1, 1 << len(keys))
+            masks = range(1, 1 << len(dom))
             if len(masks) > per_restriction:
                 masks = rng.sample(masks, per_restriction)
             for mask in masks:
-                chosen = {k: dom[k] for j, k in enumerate(keys) if mask >> j & 1}
-                after = r.remove(chosen.keys())
-                steps.append(ReductionStep(r, after, tuple(sorted(chosen.items()))))
+                removed = tuple(k for j, k in enumerate(dom) if mask >> j & 1)
+                steps.append(ReductionStep(r, r.remove(removed), removed))
                 if len(steps) >= quota:
                     return steps
     return steps
@@ -216,17 +214,17 @@ def test_criterion_4_persistence(suite):
             g = random_game(extra, 2)
         for step in reachable_steps(StrictMixed(), g):
             dom_before = dominated_set(StrictMixed(), step.before)
-            removed = {k for k, _ in step.removed}
+            removed = set(step.removed)
             survivors = [k for k in dom_before if k not in removed]
             if not survivors:
                 continue
             for i, s in survivors:
                 eliminated = [
-                    (t, dom_before[(j, t)].mixed)
+                    (t, certify(StrictMixed(), step.before, j, t).mixed)
                     for (j, t) in removed
                     if j == i
                 ]
-                m = dom_before[(i, s)].mixed
+                m = certify(StrictMixed(), step.before, i, s).mixed
                 try:
                     out = persist_dominator(step.before, step.after, eliminated, i, s, m)
                 except Exception as exc:

@@ -19,21 +19,17 @@ from domelim.dominance import (
     NeverBestResponse,
     StrictMixed,
     StrictPure,
+    certify,
     dominated_set,
     is_dominated,
     is_inherently_dominated,
-    mixed_strictly_dominates,
     parse_relation,
-    persist_dominator,
-    renormalize_without,
     strictly_dominates_pure,
-    substitute,
     verify_certificate,
     weakly_dominates_pure,
 )
 from domelim.errors import (
     AssumptionViolated,
-    DegenerateDominator,
     InvalidCertificate,
     StructuralError,
     UnsupportedConfiguration,
@@ -41,8 +37,18 @@ from domelim.errors import (
 from domelim.game import BeliefMode, Game, MixedStrategy, Restriction
 from domelim.generate import random_game
 from domelim.lp import best_response_feasible, max_min_advantage
+from domelim.reduction import reachable_restrictions
 
-from oracles import decide_reference, pure_dominator_scan, weak_dominator_scan
+from oracles import (
+    DegenerateDominator,
+    decide_reference,
+    mixed_strictly_dominates,
+    persist_dominator,
+    pure_dominator_scan,
+    renormalize_without,
+    substitute,
+    weak_dominator_scan,
+)
 
 PURE = BeliefMode.PURE
 CORR = BeliefMode.CORRELATED
@@ -68,7 +74,7 @@ class TestStrictlyDominatesPure:
             for i, s in r.strategies():
                 engine = is_dominated(StrictPure(), r, i, s)
                 oracle = pure_dominator_scan(r, i, s, r.kept[i])
-                assert (engine is not None) == (oracle is not None)
+                assert engine == (oracle is not None)
 
 
 class TestDominatedSet:
@@ -83,15 +89,15 @@ class TestDominatedSet:
 
     def test_strict_mixed_mix(self, r_mix):
         assert set(dominated_set(StrictMixed(), r_mix)) == {(0, 1)}
-        assert dominated_set(StrictPure(), r_mix) == {}
+        assert dominated_set(StrictPure(), r_mix) == ()
 
     def test_nbr_belief(self, r_belief):
         assert set(dominated_set(NeverBestResponse(PURE), r_belief)) == {(0, 1)}
-        assert dominated_set(NeverBestResponse(CORR), r_belief) == {}
+        assert dominated_set(NeverBestResponse(CORR), r_belief) == ()
 
     def test_intersection_empty_part_wins(self, r_belief):
         rel = Intersection((StrictPure(), NeverBestResponse(PURE)))
-        assert dominated_set(rel, r_belief) == {}
+        assert dominated_set(rel, r_belief) == ()
 
     def test_assumption_violated_reported(self, g_pd):
         # Both players' only strategy is globally dominated here.
@@ -120,15 +126,15 @@ class TestDominatedSet:
         ]
         for r in (r_pd, r_mix, r_belief):
             for rel in rels:
-                for (i, s), cert in dominated_set(rel, r, validate=False).items():
-                    assert verify_certificate(rel, r, i, s, cert)
+                for i, s in dominated_set(rel, r, validate=False):
+                    assert verify_certificate(rel, r, i, s, certify(rel, r, i, s))
 
 
 class TestNeverBestCertificates:
     def test_pool_flag_must_match_the_relation(self, r_belief):
         for global_pool in (False, True):
             rel = NeverBestResponse(PURE, global_pool=global_pool)
-            cert = is_dominated(rel, r_belief, 0, 1)
+            cert = certify(rel, r_belief, 0, 1)
             assert verify_certificate(rel, r_belief, 0, 1, cert)
             flipped = replace(cert, global_pool=not global_pool)
             assert not verify_certificate(rel, r_belief, 0, 1, flipped)
@@ -136,7 +142,7 @@ class TestNeverBestCertificates:
     def test_pure_evidence_checked_by_substitution(self, r_belief):
         # M is never a best response to L or R alone: U beats it at L, D at R.
         rel = NeverBestResponse(PURE)
-        cert = is_dominated(rel, r_belief, 0, 1)
+        cert = certify(rel, r_belief, 0, 1)
         assert cert.better == (((0,), 0), ((1,), 2))
         assert verify_certificate(rel, r_belief, 0, 1, cert)
         for better in [
@@ -156,7 +162,7 @@ class TestNeverBestCertificates:
         )
         r = Restriction(g, ((0, 1, 2), (0, 1)))
         cert = NeverBest(PURE, False, (((0,), 3), ((1,), 3)))
-        assert is_dominated(NeverBestResponse(PURE), r, 0, 1) is not None
+        assert is_dominated(NeverBestResponse(PURE), r, 0, 1)
         assert not verify_certificate(NeverBestResponse(PURE), r, 0, 1, cert)
         glob = replace(cert, global_pool=True)
         assert verify_certificate(NeverBestResponse(PURE, global_pool=True), r, 0, 1, glob)
@@ -343,14 +349,16 @@ class TestPureWitnessPrefilter:
                         if eps > 0:
                             expected[(i, s)] = MixedDominator(m, eps)
                 rel = StrictMixed(global_pool=global_pool)
-                assert dominated_set(rel, r, validate=False) == expected
+                keys = dominated_set(rel, r, validate=False)
+                assert keys == tuple(expected)
+                assert {k: certify(rel, r, *k) for k in keys} == expected
                 compare = full_pools if global_pool else [None] * r.n
                 for mode in (CORR, mixed) if r.n == 2 else (CORR,):
-                    expected = {
-                        (i, s): NeverBest(mode, global_pool)
+                    expected = tuple(
+                        (i, s)
                         for i, s in r.strategies()
                         if best_response_feasible(r, i, s, mode, compare[i]) is None
-                    }
+                    )
                     rel = NeverBestResponse(mode, global_pool=global_pool)
                     assert dominated_set(rel, r, validate=False) == expected
 
@@ -381,7 +389,7 @@ class TestPerPlayerKernel:
                     if cert is not None:
                         expected.append(((i, s), cert))
                 got = dominated_set(rel, r, validate=False)
-                assert list(got.items()) == expected, (rel, r.kept)
+                assert [(k, certify(rel, r, *k)) for k in got] == expected, (rel, r.kept)
                 dominated[rel] += len(expected)
         assert all(dominated.values()), dominated
 
@@ -407,15 +415,15 @@ class TestNeverBestResponseFold:
                 dominated += len(keys)
                 for mode in (CORR, BeliefMode.MIXED_INDEPENDENT) if r.n == 2 else (CORR,):
                     rel = NeverBestResponse(mode, global_pool)
-                    assert dominated_set(rel, r, validate=False) == {
-                        key: NeverBest(mode, global_pool) for key in keys
-                    }
+                    assert dominated_set(rel, r, validate=False) == keys
+                    for i, s in keys:
+                        assert certify(rel, r, i, s) == NeverBest(mode, global_pool)
         assert dominated > 0
 
 
-class TestDeferredMixedDominator:
+class TestStrictMixedLp:
     """A strategy that a pure rival beats is strict-mixed dominated without
-    an LP; its mixture is solved the first time its certificate is read."""
+    an LP; its mixture is solved only when it is certified."""
 
     @staticmethod
     def _counted(monkeypatch):
@@ -428,29 +436,75 @@ class TestDeferredMixedDominator:
         monkeypatch.setattr(dominance, "max_min_advantage", counting)
         return calls
 
-    def test_read_certificate_is_solved_once(self, g_pd, monkeypatch):
+    def test_certificate_is_solved_when_certified(self, g_pd, monkeypatch):
         r = Restriction.full(Game(g_pd.labels, g_pd.payoffs))
         calls = self._counted(monkeypatch)
-        cert = dominated_set(StrictMixed(), r)[(0, 0)]
+        assert dominated_set(StrictMixed(), r) == ((0, 0), (1, 0))
         assert calls == []
-        eps = cert.eps
-        mixed = cert.mixed
-        assert len(calls) == 1
-        assert (eps, mixed) == max_min_advantage(r, 0, 0, [1])
+        cert = certify(StrictMixed(), r, 0, 0)
+        assert calls == [(r, 0, 0, [1])]
+        eps, mixed = max_min_advantage(r, 0, 0, [1])
+        assert cert == MixedDominator(mixed, eps)
         assert StrictMixed().verify(r, 0, 0, cert)
-        eager = MixedDominator(mixed, eps)
-        assert cert == eager and hash(cert) == hash(eager) and repr(cert) == repr(eager)
-        assert len(calls) == 1
 
     def test_mixture_only_dominator_is_decided_by_the_lp(self, g_mix, monkeypatch):
         r = Restriction.full(Game(g_mix.labels, g_mix.payoffs))
         calls = self._counted(monkeypatch)
-        dom = dominated_set(StrictMixed(), r)
-        assert list(dom) == [(0, 1)]
+        assert dominated_set(StrictMixed(), r) == ((0, 1),)
         assert calls == [(r, 0, 1, [0, 2])]
         eps, mixed = max_min_advantage(r, 0, 1, [0, 2])
-        assert dom[(0, 1)] == MixedDominator(mixed, eps)
-        assert len(calls) == 1
+        assert certify(StrictMixed(), r, 0, 1) == MixedDominator(mixed, eps)
+        assert len(calls) == 2
+
+
+class TestCertify:
+    """`certify` builds the canonical certificate of a dominated key, the
+    per-strategy reference's, and refuses a strategy that is not one."""
+
+    SIMPLE = [Inherent()] + [
+        rel
+        for pool in (False, True)
+        for rel in (StrictPure(pool), StrictMixed(pool), NeverBestResponse(PURE, pool))
+    ]
+
+    @staticmethod
+    def _games():
+        rng = random.Random(48)
+        return [random_game(rng, 3 if k % 4 == 0 else 2) for k in range(12)]
+
+    def test_matches_the_reference_on_every_reachable_restriction(self):
+        certified = {rel: 0 for rel in self.SIMPLE}
+        for g in self._games():
+            for rel in self.SIMPLE:
+                for r in reachable_restrictions(rel, g):
+                    keys = dominated_set(rel, r)
+                    for i, s in r.strategies():
+                        if (i, s) in keys:
+                            assert certify(rel, r, i, s) == decide_reference(rel, r, i, s)
+                            certified[rel] += 1
+                        else:
+                            with pytest.raises(StructuralError, match="not .*-dominated"):
+                                certify(rel, r, i, s)
+        assert all(certified.values()), certified
+
+    def test_intersection_certifies_part_by_part(self):
+        certified = 0
+        for g in self._games():
+            for pair in [(StrictPure(), Inherent()), (StrictMixed(True), NeverBestResponse(PURE))]:
+                rel = Intersection(pair)
+                for r in reachable_restrictions(rel, g):
+                    for i, s in dominated_set(rel, r):
+                        assert certify(rel, r, i, s) == IntersectionEvidence(
+                            tuple(decide_reference(p, r, i, s) for p in pair)
+                        )
+                        certified += 1
+        assert certified > 0
+
+    def test_refuses_a_strategy_outside_the_restriction(self, g_pd):
+        r = Restriction(g_pd, ((1,), (0, 1)))
+        for i, s in [(0, 0), (0, 2), (2, 0)]:
+            with pytest.raises(StructuralError):
+                certify(StrictPure(), r, i, s)
 
 
 class TestIntersectionEntries:
@@ -468,15 +522,17 @@ class TestIntersectionEntries:
             )
             for pair in combinations(simple, 2):
                 sets = [dominated_set(p, r, validate=False) for p in pair]
-                expected = [
-                    (key, IntersectionEvidence(tuple(d[key] for d in sets)))
-                    for key in r.strategies()
-                    if all(key in d for d in sets)
-                ]
+                expected = tuple(
+                    key for key in r.strategies() if all(key in d for d in sets)
+                )
                 rel = Intersection(pair)
-                assert list(dominated_set(rel, r, validate=False).items()) == expected
-                for (i, s), cert in expected:
-                    assert is_dominated(rel, r, i, s) == cert
+                assert dominated_set(rel, r, validate=False) == expected
+                for i, s in expected:
+                    cert = certify(rel, r, i, s)
+                    assert cert == IntersectionEvidence(
+                        tuple(certify(p, r, i, s) for p in pair)
+                    )
+                    assert is_dominated(rel, r, i, s)
                     assert verify_certificate(rel, r, i, s, cert)
                 full += bool(expected)
                 partial += any(len(d) > len(expected) for d in sets)
@@ -488,7 +544,7 @@ class TestIntersectionEntries:
         labels = [("a", "b")] * 3
         joints = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
         flat = Restriction.full(Game.from_table(labels, [(0, 0, 0)] * 8))
-        assert dominated_set(rel, flat) == {}
+        assert dominated_set(rel, flat) == ()
         graded = Restriction.full(Game.from_table(labels, [(j[0], 0, 0) for j in joints]))
         with pytest.raises(UnsupportedConfiguration):
             dominated_set(rel, graded)
@@ -605,7 +661,7 @@ class TestPersistDominator:
             r = Restriction.full(g)
             dom = dominated_set(StrictMixed(), r, validate=False)
             for i in range(2):
-                mine = [(s, c) for (j, s), c in dom.items() if j == i]
+                mine = [(s, certify(StrictMixed(), r, i, s)) for j, s in dom if j == i]
                 if len(mine) < 2:
                     continue
                 cut = rng.randint(1, len(mine) - 1)

@@ -13,13 +13,12 @@ from domelim.game import (
     Game,
     MixedStrategy,
     Restriction,
-    expected_payoff,
     restriction_leq,
 )
 from domelim.gamefile import parse_game
 from domelim.generate import random_game
 
-from oracles import full_joint, joints, payoff
+from oracles import expected_payoff, full_joint, joints, payoff
 
 
 class TestGameConstruction:
@@ -67,9 +66,9 @@ class TestGameIdentity:
         assert g1 == g2 and hash(g1) == hash(g2)
         assert hash(g1) == hash(g1)
         rel = dominance.StrictPure()
-        entries = dominance._dominated_entries(rel, Restriction.full(g1))
-        assert entries
-        assert g1.memo[(rel, Restriction.full(g1))] is entries
+        keys = dominance._dominated_keys(rel, Restriction.full(g1))
+        assert keys
+        assert g1.memo[(rel, Restriction.full(g1))] is keys
         assert (rel, Restriction.full(g2)) not in g2.memo
 
     def test_one_payoff_apart_compares_unequal(self):

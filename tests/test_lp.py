@@ -8,7 +8,7 @@ import pytest
 
 from domelim import lp as lp_module
 from domelim.errors import StructuralError, UnsupportedConfiguration
-from domelim.game import BeliefMode, CorrelatedBelief, Restriction, expected_payoff
+from domelim.game import BeliefMode, CorrelatedBelief, Restriction
 from domelim.generate import random_game
 from domelim.lp import (
     EQ,
@@ -26,6 +26,7 @@ from domelim.lp import (
 from oracles import (
     best_response_scan,
     check_feasible,
+    expected_payoff,
     fraction_simplex,
     grid_refutes_mixed_dominance,
     maxmin_two_support,

@@ -1,7 +1,9 @@
 """Reduction steps, traces, outcome search, and the step-level checkers."""
 
 import gc
+import json
 import random
+import sys
 import weakref
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -18,6 +20,7 @@ from domelim.dominance import (
 )
 from domelim.errors import DomelimError, StructuralError, UnsupportedConfiguration
 from domelim.game import BeliefMode, Game, Restriction
+from domelim.gamefile import parse_game, write_game
 from domelim.generate import random_game
 from domelim.lp import max_min_advantage
 from domelim.reduction import (
@@ -35,6 +38,7 @@ from domelim.reduction import (
     reachable_steps,
     successors,
 )
+from domelim.tracedoc import dump_trace, verify_trace_document
 
 from oracles import all_outcomes_reference, reachable_steps_reference
 
@@ -80,7 +84,7 @@ class TestSuccessors:
         steps = successors(StrictPure(), r_pd, FullSpeed())
         assert len(steps) == 1
         assert steps[0].after.kept == ((1,), (1,))
-        assert {k for k, _ in steps[0].removed} == {(0, 0), (1, 0)}
+        assert steps[0].removed == ((0, 0), (1, 0))
 
     def test_pd_all_subsets(self, g_pd, r_pd):
         steps = [s for s in reachable_steps(StrictPure(), g_pd) if s.before == r_pd]
@@ -95,7 +99,7 @@ class TestSuccessors:
     def test_single_lex_takes_first(self, r_pd):
         steps = successors(StrictPure(), r_pd, SingleLex())
         assert len(steps) == 1
-        assert [k for k, _ in steps[0].removed] == [(0, 0)]
+        assert steps[0].removed == ((0, 0),)
 
     def test_single_random_deterministic(self, r_pd):
         a = successors(StrictPure(), r_pd, SingleRandom(7))
@@ -176,15 +180,14 @@ class TestAllOutcomes:
         ):
             g = random_game(random.Random(9), 2)
             search = all_outcomes(rel, g)
-            assert search.complete and g.memo
-            if rel == StrictMixed():
-                # Unread deferred certificates hold their restriction, and
-                # so the game, until the memo goes with it.
-                assert any(
-                    cert._problem is not None
-                    for entries in g.memo.values()
-                    for cert in entries.values()
-                )
+            assert search.complete and any(g.memo.values())
+            # The memo holds keys only: no certificate, so nothing in it
+            # refers back to a restriction or its game.
+            for keys in g.memo.values():
+                assert type(keys) is tuple
+                for key in keys:
+                    assert type(key) is tuple and len(key) == 2
+                    assert all(type(x) is int for x in key)
             ref = weakref.ref(g)
             del g, search
             gc.collect()
@@ -351,3 +354,46 @@ class TestProofShape:
             g = random_game(rng, 2)
             for step in reachable_steps(StrictPure(), g):
                 assert check_proof_shape(StrictPure(), step)
+
+
+class TestNoCertificateOutsideATrace:
+    """Deciding, walking, checking and verifying read dominated keys only:
+    with every way to build a certificate refused, they still pass."""
+
+    @staticmethod
+    def _refuse_certificates(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate was built outside a trace")
+
+        original = dominance.certify
+        for name, module in list(sys.modules.items()):
+            if name == "domelim" or name.startswith("domelim."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        for cls in (StrictPure, StrictMixed, NeverBestResponse, Inherent, Intersection):
+            monkeypatch.setattr(cls, "certify", refuse)
+
+    def test_walk_checkers_and_verification(self, monkeypatch):
+        rng = random.Random(81)
+        games = [random_game(rng, 3 if k % 4 == 0 else 2) for k in range(8)]
+        cases = [
+            (g, rel)
+            for g in games
+            for rel in simple_relations(g.n) + [Intersection((StrictMixed(), Inherent()))]
+        ]
+        traces = [dump_trace(normal_form(rel, g, SingleLex())) for g, rel in cases]
+        assert any('"certificate"' in text for text in traces)
+        self._refuse_certificates(monkeypatch)
+        with pytest.raises(AssertionError, match="outside a trace"):
+            dominance.certify(StrictPure(), Restriction.full(games[0]), 0, 0)
+        steps = 0
+        for (g, rel), text in zip(cases, traces):
+            fresh = Game(g.labels, g.payoffs)
+            assert all_outcomes(rel, fresh).complete
+            for step in reachable_steps(rel, fresh):
+                assert check_hereditary_step(rel, step) is None
+                assert check_proof_shape(rel, step)
+                steps += 1
+            verify_trace_document(json.loads(text), parse_game(write_game(g)))
+        assert steps > 0
