@@ -2,6 +2,7 @@
 
 from .errors import (
     AssumptionViolated,
+    BudgetExceeded,
     CyclicSystem,
     DomelimError,
     GameParseError,

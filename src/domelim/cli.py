@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .ars import newman_experiment
 from .dominance import Relation, parse_relation
-from .errors import DomelimError, StructuralError
+from .errors import BudgetExceeded, DomelimError, StructuralError
 from .game import BeliefMode, Game, Restriction, restriction_leq
 from .gamefile import parse_game
 from .generate import random_game
@@ -41,6 +41,7 @@ EXIT_UNSUPPORTED = 3
 EXIT_VIOLATION = 4
 EXIT_BUDGET = 5
 
+# Random (R, R') pairs `check --property monotonic` draws per game.
 CHECK_SAMPLES = 200
 
 
@@ -189,7 +190,6 @@ def _check_one_game(args, rel: Relation, g: Game, rng: random.Random) -> Optiona
                     f"R={r.kept} R'={r2.kept}"
                 )
         return None
-    count = 0
     for step in reachable_steps(rel, g):
         if args.property == "hereditary":
             witness = check_hereditary_step(rel, step)
@@ -199,15 +199,11 @@ def _check_one_game(args, rel: Relation, g: Game, rng: random.Random) -> Optiona
                     f"hereditarity violation at step {step.before.kept} -> "
                     f"{step.after.kept}: player {i + 1} strategy {g.labels[i][s]!r}"
                 )
-        else:
-            if not check_proof_shape(rel, step):
-                return (
-                    f"proof-shape violation at step {step.before.kept} -> "
-                    f"{step.after.kept}"
-                )
-        count += 1
-        if count >= CHECK_SAMPLES:
-            break
+        elif not check_proof_shape(rel, step):
+            return (
+                f"proof-shape violation at step {step.before.kept} -> "
+                f"{step.after.kept}"
+            )
     return None
 
 
@@ -264,6 +260,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except StructuralError as exc:  # game file parse errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except DomelimError as exc:  # UnsupportedConfiguration and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

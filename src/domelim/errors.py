@@ -23,9 +23,13 @@ class UnsupportedConfiguration(DomelimError):
 
     Raised for independent-mixed beliefs with three or more players (the
     check is non-convex and no exact procedure exists), for inherent
-    dominance past the opponent-joint cap, and for a reachable set larger
-    than the search budget.
+    dominance past the opponent-joint cap, and, as `BudgetExceeded`, for a
+    reachable set larger than the search budget.
     """
+
+
+class BudgetExceeded(UnsupportedConfiguration):
+    """More restrictions reachable than the search budget admits."""
 
 
 class AssumptionViolated(DomelimError):

@@ -23,9 +23,22 @@ keeps an undominated one.  Children come in bitmask order over the
 dominated keys.  A budget caps the restrictions
 admitted; past it, unseen children are dropped.  `all_outcomes` then
 reports `complete=False` with the partial outcome set,
-`reachable_restrictions` raises UnsupportedConfiguration, and
-`reachable_steps` yields the steps before the first one to a dropped
-child and raises there.  Nothing is truncated silently.
+`reachable_restrictions` raises `BudgetExceeded`, and `reachable_steps`
+yields the steps before the first one to a dropped child and raises it
+there.  Nothing is truncated silently.
+
+The three checkers read one condition on a pair R' inside R (Apt 2010):
+dom(R) & R' <= dom(R'), so every strategy dominated in R and kept in R'
+is still dominated in R'.  `_unheld` finds the first strategy that breaks
+it.  A step is hereditary when its two ends meet the condition, and a
+relation is monotonic when every pair does.  The weak-confluence proof
+shape of a step is the condition plus R_full <= R', where R_full, R less
+dom(R), is the full-speed reduct.  Then the residue R' less R_full is
+exactly R' & dom(R), and the condition says that R' is R_full or reaches
+it in one step that removes the residue.  When every step has that
+shape, any two steps from R rejoin at R_full: the order graph is weakly
+confluent and, being finite and acyclic, has one outcome by Newman's
+lemma (Newman 1942).
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from itertools import product
 from typing import Iterator, Optional, Union
 
 from .dominance import Relation, dominated_set, is_dominated
-from .errors import StructuralError, UnsupportedConfiguration
+from .errors import BudgetExceeded, StructuralError
 from .game import Game, Restriction, restriction_leq
 
 DEFAULT_BUDGET = 100_000
@@ -207,8 +220,8 @@ def all_outcomes(rel: Relation, g: Game, budget: int = DEFAULT_BUDGET) -> Outcom
     return OutcomeSearch(frozenset(outcomes), complete, explored)
 
 
-def _budget_exceeded(rel: Relation, budget: int) -> UnsupportedConfiguration:
-    return UnsupportedConfiguration(
+def _budget_exceeded(rel: Relation, budget: int) -> BudgetExceeded:
+    return BudgetExceeded(
         f"more than {budget} restrictions reachable under {rel.name}"
     )
 
@@ -218,7 +231,7 @@ def reachable_restrictions(
 ) -> set[Restriction]:
     """Every restriction reachable from the full game, itself included.
 
-    Raises UnsupportedConfiguration when more than `budget` are reachable.
+    Raises BudgetExceeded when more than `budget` are reachable.
     """
     out = set()
     for r, _, children in _walk(rel, g, budget):
@@ -233,7 +246,7 @@ def reachable_steps(
 ) -> Iterator[ReductionStep]:
     """Every distinct step in the order graph from the full game.
 
-    Raises UnsupportedConfiguration in place of the first step to a
+    Raises BudgetExceeded in place of the first step to a
     restriction the budget leaves out.
     """
     for r, dom, children in _walk(rel, g, budget):
@@ -244,13 +257,17 @@ def reachable_steps(
             yield ReductionStep(r, child, removed)
 
 
+def _unheld(rel: Relation, r: Restriction, r2: Restriction) -> Optional[tuple[int, int]]:
+    """First strategy of r2, in canonical order, dominated in r but not in r2."""
+    for i, s in r2.strategies():
+        if is_dominated(rel, r, i, s) and not is_dominated(rel, r2, i, s):
+            return (i, s)
+    return None
+
+
 def check_hereditary_step(rel: Relation, step: ReductionStep) -> Optional[tuple[int, int]]:
     """First surviving strategy dominated before the step but not after."""
-    for i, s in step.after.strategies():
-        if is_dominated(rel, step.before, i, s):
-            if not is_dominated(rel, step.after, i, s):
-                return (i, s)
-    return None
+    return _unheld(rel, step.before, step.after)
 
 
 def check_monotonic_pair(
@@ -259,24 +276,11 @@ def check_monotonic_pair(
     """First strategy of r2 dominated in r but not in r2; r2 must be inside r."""
     if not restriction_leq(r2, r):
         raise StructuralError("second restriction is not contained in the first")
-    for i, s in r2.strategies():
-        if is_dominated(rel, r, i, s):
-            if not is_dominated(rel, r2, i, s):
-                return (i, s)
-    return None
+    return _unheld(rel, r, r2)
 
 
 def check_proof_shape(rel: Relation, step: ReductionStep) -> bool:
     """Weak-confluence shape: R' equals the full-speed reduct or steps to it."""
     r, r_prime = step.before, step.after
-    dom = dominated_set(rel, r)
-    r_full = r.remove(dom)
-    if r_prime == r_full:
-        return True
-    # R'' is inside R'; the residue must be a valid single step of R'.
-    if not restriction_leq(r_full, r_prime):
-        return False
-    residue = [
-        (i, s) for i, s in r_prime.strategies() if not r_full.contains(i, s)
-    ]
-    return all(is_dominated(rel, r_prime, i, s) for i, s in residue)
+    r_full = r.remove(dominated_set(rel, r))
+    return restriction_leq(r_full, r_prime) and _unheld(rel, r, r_prime) is None

@@ -15,6 +15,10 @@ out.  `decide_reference` is the engine's former per-strategy decision of
 each simple relation, with its pure-best-response prefilter; the
 per-player kernel must yield the same dominated sets, and `certify` the
 same certificates.
+`proof_shape_reference` is the engine's former proof-shape checker,
+which compared R' with the full-speed reduct and tested the residue on
+its own: `check_proof_shape`, now hereditarity plus R_full <= R', must
+give its answers.
 `payoff`, `joints` and `full_joint` read single payoffs straight
 from a game's flat tensor, validating every index, `expected_payoff`
 averages them under a belief, and `check_feasible` substitutes a
@@ -43,6 +47,7 @@ from domelim.dominance import (
     StrictMixed,
     StrictPure,
     dominated_set,
+    is_dominated,
 )
 from domelim.errors import (
     DomelimError,
@@ -50,7 +55,14 @@ from domelim.errors import (
     StructuralError,
     UnsupportedConfiguration,
 )
-from domelim.game import BeliefMode, CorrelatedBelief, Game, MixedStrategy, Restriction
+from domelim.game import (
+    BeliefMode,
+    CorrelatedBelief,
+    Game,
+    MixedStrategy,
+    Restriction,
+    restriction_leq,
+)
 from domelim.lp import (
     EQ,
     GEQ,
@@ -557,3 +569,19 @@ def reachable_steps_reference(rel: Relation, g: Game, budget: int = DEFAULT_BUDG
             if step.after not in seen and len(seen) < budget:
                 seen.add(step.after)
                 stack.append(step.after)
+
+
+def proof_shape_reference(rel: Relation, step: ReductionStep) -> bool:
+    """Weak-confluence shape: R' equals the full-speed reduct or steps to it."""
+    r, r_prime = step.before, step.after
+    dom = dominated_set(rel, r)
+    r_full = r.remove(dom)
+    if r_prime == r_full:
+        return True
+    # R'' is inside R'; the residue must be a valid single step of R'.
+    if not restriction_leq(r_full, r_prime):
+        return False
+    residue = [
+        (i, s) for i, s in r_prime.strategies() if not r_full.contains(i, s)
+    ]
+    return all(is_dominated(rel, r_prime, i, s) for i, s in residue)

@@ -1,11 +1,13 @@
 """Command-line surface: subcommands, output, and the exit-code contract."""
 
+import functools
 import json
 
 import pytest
 
-from domelim import reduction
+from domelim import cli, reduction
 from domelim.cli import main
+from domelim.dominance import StrictPure
 from domelim.errors import AssumptionViolated
 from domelim.gamefile import write_game
 from domelim.tracedoc import verify_trace_document
@@ -191,6 +193,39 @@ class TestCheck:
             ["check", belief_file, "--property", "proof-shape", "--relation", "nbr"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "prop, checker",
+        [("hereditary", "check_hereditary_step"), ("proof-shape", "check_proof_shape")],
+    )
+    def test_every_step_is_checked(self, pd_file, prop, checker, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "CHECK_SAMPLES", 1)
+        calls = []
+        original = getattr(cli, checker)
+
+        def counted(rel, step):
+            calls.append(step)
+            return original(rel, step)
+
+        monkeypatch.setattr(cli, checker, counted)
+        code = main(["check", pd_file, "--property", prop, "--relation", "strict-pure"])
+        assert code == 0
+        steps = len(list(reduction.reachable_steps(StrictPure(), G_PD)))
+        assert steps > 1
+        assert len(calls) == steps
+
+    def test_budget_overflow_exits_5(self, pd_file, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "reachable_steps", functools.partial(reduction.reachable_steps, budget=1)
+        )
+        code = main(
+            ["check", pd_file, "--property", "hereditary", "--relation", "strict-pure"]
+        )
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_random_count_below_one_is_a_usage_error(self, count, capsys):

@@ -17,8 +17,14 @@ from domelim.dominance import (
     NeverBestResponse,
     StrictMixed,
     StrictPure,
+    dominated_set,
 )
-from domelim.errors import DomelimError, StructuralError, UnsupportedConfiguration
+from domelim.errors import (
+    AssumptionViolated,
+    DomelimError,
+    StructuralError,
+    UnsupportedConfiguration,
+)
 from domelim.game import BeliefMode, Game, Restriction
 from domelim.gamefile import parse_game, write_game
 from domelim.generate import random_game
@@ -26,6 +32,7 @@ from domelim.lp import max_min_advantage
 from domelim.reduction import (
     DEFAULT_BUDGET,
     FullSpeed,
+    ReductionStep,
     SingleLex,
     SingleRandom,
     _walk,
@@ -40,7 +47,11 @@ from domelim.reduction import (
 )
 from domelim.tracedoc import dump_trace, verify_trace_document
 
-from oracles import all_outcomes_reference, reachable_steps_reference
+from oracles import (
+    all_outcomes_reference,
+    proof_shape_reference,
+    reachable_steps_reference,
+)
 
 PURE = BeliefMode.PURE
 
@@ -354,6 +365,55 @@ class TestProofShape:
             g = random_game(rng, 2)
             for step in reachable_steps(StrictPure(), g):
                 assert check_proof_shape(StrictPure(), step)
+
+
+class TestOneHereditarityPredicate:
+    """The three checkers share one loop: on seeded steps (steps of the
+    walk, and steps that remove undominated strategies too) the pair check
+    returns the step check's witness, and the proof shape the former
+    residue check's answer."""
+
+    @staticmethod
+    def _steps(rng, rel, g, count):
+        """Up to `count` steps R -> R'.  R is reachable, or a random
+        restriction where every player keeps an undominated strategy; R'
+        removes a random subset of R's dominated keys or of all its
+        strategies, and keeps one strategy per player."""
+        reachable = sorted(reachable_restrictions(rel, g), key=lambda r: r.kept)
+        for _ in range(count):
+            r = rng.choice(reachable)
+            if rng.random() < 0.5:
+                kept = [[s for s in range(size) if rng.random() < 0.7] for size in g.sizes]
+                r = Restriction(g, tuple(tuple(ks or [0]) for ks in kept))
+            try:
+                dom = dominated_set(rel, r)
+            except AssumptionViolated:
+                continue
+            pool = dom if rng.random() < 0.5 else tuple(r.strategies())
+            removed = tuple(k for k in pool if rng.random() < 0.5)
+            survivors = set(r.strategies()) - set(removed)
+            if removed and len({i for i, _ in survivors}) == r.n:
+                yield ReductionStep(r, r.remove(removed), removed)
+
+    def test_checkers_equal_the_former_loops(self):
+        rng = random.Random(71)
+        games = [random_game(rng, 3 if k % 4 == 0 else 2) for k in range(12)]
+        witnesses = false_shapes = true_shapes = 0
+        for g in games:
+            rels = simple_relations(g.n) + [
+                Intersection((StrictPure(), Inherent())),
+                Intersection((StrictMixed(), NeverBestResponse(PURE, global_pool=True))),
+            ]
+            for rel in rels:
+                for step in self._steps(rng, rel, g, 100):
+                    witness = check_hereditary_step(rel, step)
+                    shape = proof_shape_reference(rel, step)
+                    assert check_monotonic_pair(rel, step.before, step.after) == witness
+                    assert check_proof_shape(rel, step) == shape
+                    witnesses += witness is not None
+                    false_shapes += not shape
+                    true_shapes += shape
+        assert witnesses > 0 and false_shapes > 0 and true_shapes > 0
 
 
 class TestNoCertificateOutsideATrace:
