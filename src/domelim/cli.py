@@ -10,6 +10,7 @@ on stderr; none ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import Optional, Sequence
@@ -61,7 +62,10 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves
+    it unchanged, so successive `main` calls share it."""
     parser = _Parser(prog="domelim", description="Iterated dominance elimination engine")
     sub = parser.add_subparsers(dest="command", required=True)
 

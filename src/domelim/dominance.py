@@ -29,17 +29,24 @@ dominator on each subset of joints in odometer order, the mixture the
 max-min LP finds, and an intersection's certificate part by part.  Only a
 trace asks for them, through the module-level `certify`.
 
-A decision reads player i's payoff rows over the pool once, with the
-pool's column maxima (one column per opponent joint of R).  A strategy of
-R_i whose row meets some column maximum is a best response to that joint
-(Pearce 1984), so it is dominated under none of the relations: no pure or
-mixed pool strategy beats it there, a pure belief makes it a best
-response, and the singleton subset of that joint refutes its inherent
-dominance.  Only the strategies meeting no column maximum are examined
-further, and under pure beliefs each of them is a never best response.
-`StrictMixed` runs the max-min LP to decide only a strategy that no pure
-pool strategy beats: one that a pure rival beats is dominated, since the
-rival is a mixture.
+A decision reads no payoff.  It reads the game's `beats` table, where
+B[t][s] is the bitmask of opponent joints at which t pays player i more
+than s, and R's opponent mask m for player i (see `game`).  A strategy of
+R_i that meets some column maximum over the pool is a best response to
+that joint (Pearce 1984), so it is dominated under none of the relations:
+no pure or mixed pool strategy beats it there, a pure belief makes it a
+best response, and the singleton subset of that joint refutes its inherent
+dominance.  So only the strategies s whose pool masks B[t][s] together
+cover m are examined further, and under pure beliefs each of them is a
+never best response.  A pure pool strategy t beats s where B[t][s] & m is
+m.  `Inherent` asks, of every nonempty submask S of m, for a t in R_i
+with S & B[t][s] nonzero and S & B[s][t] zero: better somewhere in S and
+worse nowhere.  `StrictMixed` runs the max-min LP to decide only a
+strategy that no pure pool strategy beats: one that a pure rival beats is
+dominated, since the rival is a mixture.  The LP, `certify` and every
+`verify` read payoff rows through `Restriction.payoff_rows` instead, so a
+verifier checks a certificate by substitution, independently of the masks
+that decided it.
 
 Under correlated beliefs, and independent ones on two players (where an
 independent belief is a distribution over the one opponent's strategies),
@@ -93,9 +100,10 @@ class StrictPure:
         return "global-strict-pure" if self.global_pool else "strict-pure"
 
     def dominated(self, r: Restriction, i: int) -> Iterator[int]:
-        rows, candidates = _candidates(r, i, _pool(self, r, i))
-        for s, mine in candidates:
-            if any(_above(row, mine) for row in rows):
+        pool = _pool(self, r, i)
+        m, beats, candidates = _candidates(r, i, pool)
+        for s in candidates:
+            if any(beats[t][s] & m == m for t in pool):
                 yield s
 
     def certify(self, r: Restriction, i: int, s: int) -> PureDominator:
@@ -119,10 +127,11 @@ class StrictMixed:
         return "global-strict-mixed" if self.global_pool else "strict-mixed"
 
     def dominated(self, r: Restriction, i: int) -> Iterator[int]:
-        rows, candidates = _candidates(r, i, _pool(self, r, i))
-        for s, mine in candidates:
+        pool = _pool(self, r, i)
+        m, beats, candidates = _candidates(r, i, pool)
+        for s in candidates:
             # A pure rival that beats s is a mixture that does: no LP needed.
-            if any(_above(row, mine) for row in rows) or (
+            if any(beats[t][s] & m == m for t in pool) or (
                 max_min_advantage(r, i, s, _rivals(self, r, i, s))[0] > 0
             ):
                 yield s
@@ -156,7 +165,7 @@ class NeverBestResponse:
     def dominated(self, r: Restriction, i: int) -> Iterable[int]:
         if self.mode is BeliefMode.PURE:
             # A strategy meeting no column maximum is beaten at every joint.
-            return [s for s, _ in _candidates(r, i, _pool(self, r, i))[1]]
+            return _candidates(r, i, _pool(self, r, i))[2]
         if self.mode is BeliefMode.MIXED_INDEPENDENT and r.n > 2:
             raise UnsupportedConfiguration(
                 "independent mixed beliefs with 3+ players are not decidable here"
@@ -203,11 +212,13 @@ class Inherent:
     belief_mode = None
 
     def dominated(self, r: Restriction, i: int) -> Iterator[int]:
-        n_joints = len(_inherent_joints(r, i))
+        _inherent_joints(r, i)  # raises past the cap
         pool = r.kept[i]
-        rows, candidates = _candidates(r, i, pool)
-        for s, mine in candidates:
-            if all(t is not None for _, t in _weak_dominators(n_joints, pool, rows, mine)):
+        m, beats, candidates = _candidates(r, i, pool)
+        for s in candidates:
+            # Per rival t, where it is better than s and where it is worse.
+            sides = [(up, beats[s][t] & m) for t in pool if (up := beats[t][s] & m)]
+            if _weakly_beaten_on_every_subset(m, sides):
                 yield s
 
     def certify(self, r: Restriction, i: int, s: int) -> InherentEvidence:
@@ -395,14 +406,34 @@ def _nonempty_subsets(items: Sequence) -> Iterator[tuple]:
 
 def _candidates(
     r: Restriction, i: int, pool: Sequence[int]
-) -> tuple[list[list[Payoff]], list[tuple[int, list[Payoff]]]]:
-    """Player i's payoff rows over `pool`, which holds R_i, and the
-    strategies of R_i that meet no column maximum, each with its row: the
-    only ones any relation can dominate (see the module docstring)."""
-    rows = r.payoff_rows(i, pool)
-    tops = [max(column) for column in zip(*rows)]
-    row_of = dict(zip(pool, rows))
-    return rows, [(s, row_of[s]) for s in r.kept[i] if _above(tops, row_of[s])]
+) -> tuple[int, Sequence[Sequence[int]], list[int]]:
+    """R's opponent mask `m` for player i, i's `Game.beats` table, and the
+    strategies s of R_i that meet no column maximum over `pool`, which
+    holds R_i: the pool's masks of joints where it beats s cover m.  Only
+    these can be dominated under any relation (see the module docstring)."""
+    m = r.opponent_mask(i)
+    beats = r.game.beats[i]
+    out = []
+    for s in r.kept[i]:
+        cover = 0
+        for t in pool:
+            cover |= beats[t][s]
+        if cover & m == m:
+            out.append(s)
+    return m, beats, out
+
+
+def _weakly_beaten_on_every_subset(m: int, sides: Sequence[tuple[int, int]]) -> bool:
+    """Whether every nonempty submask S of `m` has a rival weakly better
+    there: one (up, down) of `sides` with S & up nonzero and S & down zero.
+    Submasks are tried in increasing order, small subsets of low joints
+    first."""
+    subset = -m & m
+    while subset:
+        if not any(subset & up and not subset & down for up, down in sides):
+            return False
+        subset = (subset - m) & m
+    return True
 
 
 def _inherent_joints(r: Restriction, i: int) -> tuple[tuple[int, ...], ...]:

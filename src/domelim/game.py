@@ -8,15 +8,22 @@ sequence).  Labels matter only for I/O.
 The single canonical enumeration order everywhere is odometer order: the
 last index varies fastest.
 
-Hot paths read payoffs through one kernel, `Restriction.payoff_rows`: for
-player i and some strategies of G_i, each strategy's payoffs over the
-restriction's opponent joints, in odometer order.  It indexes per-player
-flat payoff tuples by odometer strides, which a `Game` builds on first use
-(not at construction, so generating a corpus stays cheap), and validates
-its arguments once per call.  A `Game` compares by content and hashes its
-content once, so restrictions of one game are cheap memo keys.  Each game
-owns the memo of its dominated sets, `Game.memo`, which lives and dies
-with the game.
+Payoffs are read through two views of one odometer order.
+`Restriction.payoff_rows` gives, for player i and some strategies of G_i,
+each strategy's payoffs over the restriction's opponent joints.  It indexes
+per-player flat payoff tuples by odometer strides and validates its
+arguments once per call; the LP builders, certificates and every verifier
+read it.  `Game.beats` holds, per player i and pair (t, s) of G_i, the
+bitmask of opponent joints where t pays i strictly more than s, and
+`Restriction.opponent_mask(i)` is the mask of R's own opponent joints: the
+dominance decisions read only these.  Bit o stands for the joint at flat
+offset o, and the rows, the table and the mask all take their offsets
+from one helper, `_opponent_offsets`, so they cannot disagree on joint
+order.  A `Game` builds the flat payoffs and the masks on first use (not
+at construction, so generating a corpus stays cheap).  A `Game` compares
+by content and hashes its content once, so restrictions of one game are
+cheap memo keys.  Each game owns the memo of its dominated sets,
+`Game.memo`, which lives and dies with the game.
 
 The kernel's tables hold a whole payoff as its `int` and any other as its
 `Fraction`.  An `int` compares, hashes and adds exactly like the equal
@@ -128,6 +135,30 @@ class Game:
         )
 
     @cached_property
+    def beats(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """`beats[i][t][s]`: the opponent joints of G where p_i(t, .) >
+        p_i(s, .), as a bitmask whose bit o is the joint at flat offset o
+        (see `_opponent_offsets`)."""
+        full = tuple(tuple(range(k)) for k in self.sizes)
+        out = []
+        for i, flat in enumerate(self.player_payoffs):
+            offsets = _opponent_offsets(self, full, i)
+            bits = [1 << o for o in offsets]
+            step = self.strides[i]
+            rows = [[flat[t * step + o] for o in offsets] for t in full[i]]
+            table = [[0] * len(rows) for _ in rows]
+            # One pass per unordered pair fills both directions.
+            for t, a in enumerate(rows):
+                for s in range(t + 1, len(rows)):
+                    for bit, x, y in zip(bits, a, rows[s]):
+                        if x > y:
+                            table[t][s] |= bit
+                        elif x < y:
+                            table[s][t] |= bit
+            out.append(tuple(map(tuple, table)))
+        return tuple(out)
+
+    @cached_property
     def memo(self) -> dict:
         """(relation, restriction) -> its dominated keys, filled by `dominance`."""
         return {}
@@ -226,15 +257,19 @@ class Restriction:
         for t in strategies:
             if not 0 <= t < size:
                 raise StructuralError(f"strategy index {t} out of range")
-        strides = g.strides
-        offsets = [0]
-        for j, ks in enumerate(self.kept):
-            if j != i:
-                step = strides[j]
-                offsets = [o + s * step for o in offsets for s in ks]
+        offsets = _opponent_offsets(g, self.kept, i)
         flat = g.player_payoffs[i]
-        step = strides[i]
+        step = g.strides[i]
         return [[flat[t * step + o] for o in offsets] for t in strategies]
+
+    def opponent_mask(self, i: int) -> int:
+        """The bitmask of `opponent_joints(i)` in `Game.beats`' bit order."""
+        if not 0 <= i < len(self.kept):
+            raise StructuralError(f"player index {i} out of range")
+        mask = 0
+        for o in _opponent_offsets(self.game, self.kept, i):
+            mask |= 1 << o
+        return mask
 
     def opponent_positions(self, i: int, opps: Iterable[Sequence[int]]) -> list[int]:
         """Position of each opponent joint in `opponent_joints(i)`."""
@@ -243,6 +278,18 @@ class Restriction:
             return [index[tuple(opp)] for opp in opps]
         except (KeyError, TypeError):
             raise StructuralError("opponent joint outside the restriction")
+
+
+def _opponent_offsets(g: Game, kept: Sequence[Sequence[int]], i: int) -> list[int]:
+    """The flat offset, without player i's term, of each opponent joint
+    of `kept` (players j != i) in odometer order."""
+    strides = g.strides
+    offsets = [0]
+    for j, ks in enumerate(kept):
+        if j != i:
+            step = strides[j]
+            offsets = [o + s * step for o in offsets for s in ks]
+    return offsets
 
 
 def restriction_leq(r1: Restriction, r2: Restriction) -> bool:

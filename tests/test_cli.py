@@ -281,3 +281,50 @@ class TestArs:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """One process builds the parser once; successive `main` calls must
+    answer as separate calls, each with a fresh parser, would."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    def test_successive_calls_match_separate_calls(self, pd_file, mix_file, capsys):
+        # Each sequence with the exit codes its calls must give.
+        sequences = [
+            (
+                [
+                    ["reduce", pd_file, "--relation", "strict-pure"],
+                    ["check", mix_file, "--property", "hereditary", "--relation", "strict-mixed"],
+                    ["orders", pd_file, "--relation", "nbr"],
+                ],
+                [0, 0, 0],
+            ),
+            (
+                [
+                    ["orders", pd_file, "--relation", "strict-pure", "--budget", "0"],
+                    ["orders", pd_file, "--relation", "strict-pure"],
+                ],
+                [2, 0],
+            ),
+            (
+                [
+                    ["reduce", pd_file, "--relation", "strict-pure", "--policy", "bogus"],
+                    ["reduce", pd_file, "--relation", "strict-pure", "--policy", "single-lex"],
+                ],
+                [2, 0],
+            ),
+        ]
+        for argvs, codes in sequences:
+            separate = []
+            for argv in argvs:
+                cli._build_parser.cache_clear()
+                separate.append(self._run(argv, capsys))
+            cli._build_parser.cache_clear()
+            successive = [self._run(argv, capsys) for argv in argvs]
+            assert cli._build_parser.cache_info().misses == 1
+            assert successive == separate
+            assert [code for code, _ in successive] == codes

@@ -363,9 +363,28 @@ class TestPureWitnessPrefilter:
                     assert dominated_set(rel, r, validate=False) == expected
 
 
+def _half_restrictions(seed, count):
+    """`_random_restrictions` with every payoff halved: values k/2 for k
+    in [-3, 3], so the kernel holds `int`s and non-integer `Fraction`s side
+    by side, with as many ties as before."""
+    return [
+        Restriction(Game(r.game.labels, tuple(p / 2 for p in r.game.payoffs)), r.kept)
+        for r in _random_restrictions(seed, count)
+    ]
+
+
 class TestPerPlayerKernel:
-    """Each relation decides all of a player's strategies from one payoff
-    read; the sets and certificates must be the per-strategy reference's."""
+    """Each relation decides all of a player's strategies from the game's
+    `beats` masks and the restriction's opponent mask; the sets and
+    certificates must be the per-strategy reference's, which reads payoff
+    rows.  The restrictions cover integer and half-integer payoffs with
+    ties, and global pools that hold strategies outside R."""
+
+    RELS = [Inherent()] + [
+        rel
+        for pool in (False, True)
+        for rel in (StrictPure(pool), StrictMixed(pool), NeverBestResponse(PURE, pool))
+    ]
 
     def test_dominated_sets_match_the_per_strategy_reference(
         self, r_pd, r_mix, r_belief, r_one
@@ -374,15 +393,12 @@ class TestPerPlayerKernel:
             [r_pd, r_mix, r_belief, r_one]
             + _full_restrictions(44, 9, 3)
             + _random_restrictions(45, 45)
+            + _half_restrictions(46, 45)
         )
-        rels = [Inherent()] + [
-            rel
-            for pool in (False, True)
-            for rel in (StrictPure(pool), StrictMixed(pool), NeverBestResponse(PURE, pool))
-        ]
-        dominated = {rel: 0 for rel in rels}
+        dominated = {rel: 0 for rel in self.RELS}
+        halves = 0
         for r in restrictions:
-            for rel in rels:
+            for rel in self.RELS:
                 expected = []
                 for i, s in r.strategies():
                     cert = decide_reference(rel, r, i, s)
@@ -391,7 +407,82 @@ class TestPerPlayerKernel:
                 got = dominated_set(rel, r, validate=False)
                 assert [(k, certify(rel, r, *k)) for k in got] == expected, (rel, r.kept)
                 dominated[rel] += len(expected)
+                if any(p.denominator == 2 for p in r.game.payoffs):
+                    halves += len(expected)
         assert all(dominated.values()), dominated
+        assert halves > 0
+
+    def test_global_pools_reach_outside_r(self):
+        # Keys a global relation holds and its local twin does not: only a
+        # strategy outside R dominates them.
+        outside = 0
+        for r in _random_restrictions(45, 45) + _half_restrictions(46, 45):
+            for local in (StrictPure(), StrictMixed(), NeverBestResponse(PURE)):
+                wide = replace(local, global_pool=True)
+                held = set(dominated_set(local, r, validate=False))
+                outside += len(set(dominated_set(wide, r, validate=False)) - held)
+        assert outside > 0
+
+    def test_inherent_three_players_hinges_on_a_tie(self):
+        # Player 1 (a, b, c) against four opponent joints (x,e) (x,f) (y,e)
+        # (y,f); the opponents' payoffs are all 0.  a ties c on the last two
+        # joints and beats it on the first two, b the other way round, so on
+        # every nonempty subset one of them is >= c with > somewhere: c is
+        # inherently dominated, though neither beats it strictly.
+        def game(a, b, c):
+            rows = [(x, 0, 0) for row in (a, b, c) for x in row]
+            return Game.from_table([["a", "b", "c"], ["x", "y"], ["e", "f"]], rows)
+
+        hi, lo = F(3, 2), F(1, 2)
+        r = Restriction.full(game([hi, hi, 1, 1], [1, 1, hi, hi], [1, 1, 1, 1]))
+        assert dominated_set(Inherent(), r) == ((0, 2),)
+        assert dominated_set(StrictPure(), r) == ()
+        cert = certify(Inherent(), r, 0, 2)
+        assert len(cert.dominators) == 15
+        for subset, t in cert.dominators:
+            assert t == (0 if {(0, 0), (0, 1)} & set(subset) else 1)
+        assert verify_certificate(Inherent(), r, 0, 2, cert)
+        # Raise c to a's 3/2 on (x,e): on that singleton a only ties c and
+        # b is worse, so the tie refutes it.
+        r = Restriction.full(game([hi, hi, 1, 1], [1, 1, hi, hi], [hi, 1, 1, 1]))
+        assert dominated_set(Inherent(), r) == ()
+        # Turn the ties into losses: a rival better at each joint still
+        # makes c a never best response, but on {(x,e), (y,e)} each rival
+        # is also worse somewhere, which refutes inherent dominance.
+        r = Restriction.full(game([hi, hi, lo, lo], [lo, lo, hi, hi], [1, 1, 1, 1]))
+        assert dominated_set(NeverBestResponse(PURE), r) == ((0, 2),)
+        assert dominated_set(Inherent(), r) == ()
+
+
+class TestVerifiersReadRows:
+    """Every substitution verifier reads payoff rows, never the masks that
+    decided the key, so a wrong mask fails a verification instead of
+    agreeing with itself.  (LP-mode `nbr` evidence is its decision, which
+    its verifier asks again; it is not checked here.)"""
+
+    def test_verify_reads_no_mask(self, monkeypatch):
+        rels = [Inherent(), Intersection((StrictPure(), Inherent()))] + [
+            rel
+            for pool in (False, True)
+            for rel in (StrictPure(pool), StrictMixed(pool), NeverBestResponse(PURE, pool))
+        ]
+        cases = [
+            (rel, r, i, s, certify(rel, r, i, s))
+            for r in _random_restrictions(47, 30) + _half_restrictions(48, 30)
+            for rel in rels
+            for i, s in dominated_set(rel, r, validate=False)
+        ]
+
+        def refuse(*args):
+            raise AssertionError("a verifier read the masks")
+
+        monkeypatch.setattr(Game, "beats", property(refuse))
+        monkeypatch.setattr(Restriction, "opponent_mask", refuse)
+        for _, r, *_ in cases:
+            r.game.memo.clear()  # so that no decision is answered from it
+        for rel, r, i, s, cert in cases:
+            assert verify_certificate(rel, r, i, s, cert), (rel, r.kept, i, s)
+        assert {rel for rel, *_ in cases} == set(rels)
 
 
 class TestNeverBestResponseFold:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from domelim import dominance
+from domelim import dominance, generate
 from domelim.errors import StructuralError
 from domelim.game import (
     CorrelatedBelief,
@@ -57,6 +57,16 @@ class TestGameConstruction:
         Restriction.full(g).payoff_rows(0, [0])
         assert "player_payoffs" in vars(g)
 
+    def test_beats_table_built_on_first_decision(self):
+        suite = generate.game_suite(5, 6, 2)
+        assert all("beats" not in vars(g) for g in suite)
+        g = random_game(random.Random(5), 3)
+        assert "beats" not in vars(g)
+        Restriction.full(g).payoff_rows(0, [0])
+        assert "beats" not in vars(g)
+        dominance.dominated_set(dominance.StrictPure(), Restriction.full(g))
+        assert "beats" in vars(g)
+
 
 class TestGameIdentity:
     def test_equal_games_hash_equal_and_keep_their_own_memo(self, g_pd):
@@ -71,6 +81,17 @@ class TestGameIdentity:
         assert g1.memo[(rel, Restriction.full(g1))] is keys
         assert (rel, Restriction.full(g2)) not in g2.memo
 
+    def test_built_tables_leave_equality_and_hash_alone(self):
+        # Memo keys and outcome sets hash restrictions, and so their game.
+        built = random_game(random.Random(6), 3)
+        dominance.dominated_set(dominance.Inherent(), Restriction.full(built))
+        fresh = random_game(random.Random(6), 3)
+        assert "beats" in vars(built) and "player_payoffs" in vars(built)
+        assert "beats" not in vars(fresh) and "_hash" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        r1, r2 = Restriction.full(built), Restriction.full(fresh)
+        assert r1 == r2 and hash(r1) == hash(r2)
+
     def test_one_payoff_apart_compares_unequal(self):
         g1 = random_game(random.Random(7), 2)
         changed = list(g1.payoffs)
@@ -78,6 +99,39 @@ class TestGameIdentity:
         g2 = Game(g1.labels, tuple(changed))
         assert g1 != g2
         assert Restriction.full(g1) != Restriction.full(g2)
+
+
+class TestBeatsTable:
+    def test_masks_agree_with_payoff_rows(self):
+        # Bit o of a mask is the opponent joint at flat offset o, and those
+        # offsets rise in odometer order, so the set bits of R's opponent
+        # mask, low to high, are `opponent_joints(i)` in order.
+        rng = random.Random(8)
+        pairs = 0
+        for k in range(40):
+            g = random_game(rng, 3 if k % 3 == 0 else 2)
+            if k % 2:
+                g = Game(g.labels, tuple(p / 2 for p in g.payoffs))
+            kept = tuple(
+                tuple(s for s in range(size) if rng.random() < 0.7) or (rng.randrange(size),)
+                for size in g.sizes
+            )
+            r = Restriction(g, kept)
+            for i in range(g.n):
+                m = r.opponent_mask(i)
+                bits = [o for o in range(g.num_joints) if m >> o & 1]
+                assert len(bits) == len(r.opponent_joints(i))
+                rows = r.payoff_rows(i, range(g.sizes[i]))
+                for t, row_t in enumerate(rows):
+                    for s, row_s in enumerate(rows):
+                        got = [g.beats[i][t][s] >> o & 1 == 1 for o in bits]
+                        assert got == [x > y for x, y in zip(row_t, row_s)]
+                        pairs += 1
+        assert pairs > 0
+
+    def test_opponent_mask_checks_the_player(self, r_pd):
+        with pytest.raises(StructuralError):
+            r_pd.opponent_mask(2)
 
 
 class TestPayoffPure:
