@@ -29,24 +29,27 @@ dominator on each subset of joints in odometer order, the mixture the
 max-min LP finds, and an intersection's certificate part by part.  Only a
 trace asks for them, through the module-level `certify`.
 
-A decision reads no payoff.  It reads the game's `beats` table, where
-B[t][s] is the bitmask of opponent joints at which t pays player i more
-than s, and R's opponent mask m for player i (see `game`).  A strategy of
-R_i that meets some column maximum over the pool is a best response to
-that joint (Pearce 1984), so it is dominated under none of the relations:
-no pure or mixed pool strategy beats it there, a pure belief makes it a
-best response, and the singleton subset of that joint refutes its inherent
+Masks find, rows check.  Outside the max-min LP, decisions and
+certificates read no payoff, only the game's `beats` table, where B[t][s]
+is the bitmask of opponent joints at which t pays player i more than s,
+and R's opponent mask m for player i (see `game`).  A strategy of R_i that
+meets some column maximum over the pool is a best response to that joint
+(Pearce 1984), so it is dominated under none of the relations: no pure or
+mixed pool strategy beats it there, a pure belief makes it a best
+response, and the singleton subset of that joint refutes its inherent
 dominance.  So only the strategies s whose pool masks B[t][s] together
 cover m are examined further, and under pure beliefs each of them is a
-never best response.  A pure pool strategy t beats s where B[t][s] & m is
-m.  `Inherent` asks, of every nonempty submask S of m, for a t in R_i
-with S & B[t][s] nonzero and S & B[s][t] zero: better somewhere in S and
-worse nowhere.  `StrictMixed` runs the max-min LP to decide only a
-strategy that no pure pool strategy beats: one that a pure rival beats is
-dominated, since the rival is a mixture.  The LP, `certify` and every
-`verify` read payoff rows through `Restriction.payoff_rows` instead, so a
-verifier checks a certificate by substitution, independently of the masks
-that decided it.
+never best response.  One scan per relation serves both its decision,
+which asks whether the scan finds a witness, and `certify`, which keeps
+it: `_pure_dominator` (the first pool t with B[t][s] & m equal to m), the
+first pool t holding each bit of m (pure NBR), and `_weak_dominators`
+(per nonempty submask S of m, the first t in R_i with S & B[t][s] nonzero
+and S & B[s][t] zero: better somewhere in S, worse nowhere).
+`StrictMixed` runs the max-min LP to decide only a strategy that no pure
+pool strategy beats: one that a pure rival beats is dominated, since the
+rival is a mixture.  Only the LP and the verifiers read payoff rows
+(`Restriction.payoff_rows`), so a verifier checks a certificate by
+substitution, and a wrong mask fails it instead of agreeing with itself.
 
 Under correlated beliefs, and independent ones on two players (where an
 independent belief is a distribution over the one opponent's strategies),
@@ -54,7 +57,8 @@ independent belief is a distribution over the one opponent's strategies),
 pool less `s` beats it: the two LPs are duals (Pearce 1984, Lemma 3).  So
 LP-mode NBR reads the `StrictMixed` memo entry of the same pool flag and
 restriction, and one decision serves `strict-mixed` and both LP modes of
-`nbr`.
+`nbr`.  Its certificate names no mixture, so its verifier solves the
+max-min LP on the rows and checks the mixture's margin by substitution.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ from .game import (
     ZERO,
     BeliefMode,
     MixedStrategy,
-    Payoff,
     Restriction,
 )
 from .lp import max_min_advantage
@@ -103,13 +106,12 @@ class StrictPure:
         pool = _pool(self, r, i)
         m, beats, candidates = _candidates(r, i, pool)
         for s in candidates:
-            if any(beats[t][s] & m == m for t in pool):
+            if _pure_dominator(beats, m, pool, s) is not None:
                 yield s
 
     def certify(self, r: Restriction, i: int, s: int) -> PureDominator:
-        pool = _pool(self, r, i)
-        mine, *rows = r.payoff_rows(i, [s, *pool])
-        return PureDominator(next(t for t, row in zip(pool, rows) if _above(row, mine)))
+        m, beats = r.opponent_mask(i), r.game.beats[i]
+        return PureDominator(_pure_dominator(beats, m, _pool(self, r, i), s))
 
     def verify(self, r: Restriction, i: int, s: int, cert: Certificate) -> bool:
         if not isinstance(cert, PureDominator) or cert.strategy not in _pool(self, r, i):
@@ -131,7 +133,7 @@ class StrictMixed:
         m, beats, candidates = _candidates(r, i, pool)
         for s in candidates:
             # A pure rival that beats s is a mixture that does: no LP needed.
-            if any(beats[t][s] & m == m for t in pool) or (
+            if _pure_dominator(beats, m, pool, s) is not None or (
                 max_min_advantage(r, i, s, _rivals(self, r, i, s))[0] > 0
             ):
                 yield s
@@ -166,21 +168,24 @@ class NeverBestResponse:
         if self.mode is BeliefMode.PURE:
             # A strategy meeting no column maximum is beaten at every joint.
             return _candidates(r, i, _pool(self, r, i))[2]
+        self._refuse_independent(r)
+        # LP duality: never a best response iff strictly dominated by a mixture.
+        return [s for j, s in _dominated_keys(StrictMixed(self.global_pool), r) if j == i]
+
+    def _refuse_independent(self, r: Restriction) -> None:
         if self.mode is BeliefMode.MIXED_INDEPENDENT and r.n > 2:
             raise UnsupportedConfiguration(
                 "independent mixed beliefs with 3+ players are not decidable here"
             )
-        # LP duality: never a best response iff strictly dominated by a mixture.
-        return [s for j, s in _dominated_keys(StrictMixed(self.global_pool), r) if j == i]
 
     def certify(self, r: Restriction, i: int, s: int) -> NeverBest:
         if self.mode is not BeliefMode.PURE:
             return NeverBest(self.mode, self.global_pool)
-        pool = _pool(self, r, i)
-        mine, *rows = r.payoff_rows(i, [s, *pool])
+        # Bits low to high are the opponent joints in odometer order.
+        pool, beats = _pool(self, r, i), r.game.beats[i]
         better = tuple(
-            (opp, next(t for t, row in zip(pool, rows) if row[k] > m))
-            for k, (opp, m) in enumerate(zip(r.opponent_joints(i), mine))
+            (opp, next(t for t in pool if beats[t][s] & bit))
+            for opp, bit in zip(r.opponent_joints(i), _bits(r.opponent_mask(i)))
         )
         return NeverBest(self.mode, self.global_pool, better)
 
@@ -190,8 +195,16 @@ class NeverBestResponse:
         if cert.mode != self.mode or cert.global_pool != self.global_pool:
             return False
         if self.mode is not BeliefMode.PURE:
-            # The LP-mode evidence is the decision itself: recompute it.
-            return not cert.better and is_dominated(self, r, i, s)
+            # By LP duality, a mixture of the pool less s that beats s: the
+            # LP finds it from the rows, and its margin is checked on them.
+            if not r.contains(i, s):
+                raise StructuralError(f"strategy {s} not in restriction for player {i}")
+            self._refuse_independent(r)
+            rivals = _rivals(self, r, i, s)
+            if cert.better or not rivals:
+                return False
+            eps, mixed = max_min_advantage(r, i, s, rivals)
+            return eps > 0 and _mixed_margin(r, i, mixed, s) == eps
         # One strictly better pool strategy at each opponent joint of R.
         opps = r.opponent_joints(i)
         joints = [opp for opp, _ in cert.better]
@@ -216,19 +229,16 @@ class Inherent:
         pool = r.kept[i]
         m, beats, candidates = _candidates(r, i, pool)
         for s in candidates:
-            # Per rival t, where it is better than s and where it is worse.
-            sides = [(up, beats[s][t] & m) for t in pool if (up := beats[t][s] & m)]
-            if _weakly_beaten_on_every_subset(m, sides):
+            if all(t is not None for _, t in _weak_dominators(m, beats, pool, s)):
                 yield s
 
     def certify(self, r: Restriction, i: int, s: int) -> InherentEvidence:
-        opps = _inherent_joints(r, i)
-        pool = r.kept[i]
-        mine, *rows = r.payoff_rows(i, [s, *pool])
+        m = r.opponent_mask(i)
+        joints = list(zip(_bits(m), _inherent_joints(r, i)))
         return InherentEvidence(
             tuple(
-                (tuple(opps[k] for k in ks), t)
-                for ks, t in _weak_dominators(len(opps), pool, rows, mine)
+                (tuple(opp for bit, opp in joints if subset & bit), t)
+                for subset, t in _weak_dominators(m, r.game.beats[i], r.kept[i], s)
             )
         )
 
@@ -322,11 +332,12 @@ class NeverBest:
     """Evidence that no belief admits `s` as a best response.
 
     In PURE mode `better` pairs each opponent joint with a strictly better
-    pool strategy, and is checked by substitution; `certify` finds it, the
-    decision never does.  In the LP modes `better` is empty: the evidence
+    pool strategy: `certify` finds it on the masks, and the verifier checks
+    it on the payoff rows.  In the LP modes `better` is empty: the evidence
     is that the best-response program is infeasible, which holds exactly
-    when a mixture of the pool less `s` beats `s`, and the verifier asks
-    that decision (the `StrictMixed` keys) again.
+    when a mixture of the pool less `s` beats `s`.  The verifier finds
+    such a mixture with the max-min LP on the rows and checks its margin
+    by substitution; it never asks the decision.
     """
 
     mode: BeliefMode
@@ -360,7 +371,7 @@ def strictly_dominates_pure(r: Restriction, i: int, s_dom: int, s: int) -> bool:
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
     dom, mine = r.payoff_rows(i, [s_dom, s])
-    return _above(dom, mine)
+    return all(x > y for x, y in zip(dom, mine))
 
 
 def weakly_dominates_pure(
@@ -379,23 +390,8 @@ def weakly_dominates_pure(
     if not (r.contains(i, s) and r.contains(i, s_dom)):
         raise StructuralError("both strategies must be in the restriction")
     dom, mine = r.payoff_rows(i, [s_dom, s])
-    return _weakly_above(dom, mine, r.opponent_positions(i, opp_subset))
-
-
-def _above(a: Sequence[Payoff], b: Sequence[Payoff]) -> bool:
-    """a > b entrywise."""
-    return all(x > y for x, y in zip(a, b))
-
-
-def _weakly_above(a: Sequence[Payoff], b: Sequence[Payoff], ks: Sequence[int]) -> bool:
-    """a >= b at every position in `ks`, and a > b at one of them."""
-    strict = False
-    for k in ks:
-        if a[k] < b[k]:
-            return False
-        if a[k] > b[k]:
-            strict = True
-    return strict
+    ks = r.opponent_positions(i, opp_subset)
+    return all(dom[k] >= mine[k] for k in ks) and any(dom[k] > mine[k] for k in ks)
 
 
 def _nonempty_subsets(items: Sequence) -> Iterator[tuple]:
@@ -423,17 +419,32 @@ def _candidates(
     return m, beats, out
 
 
-def _weakly_beaten_on_every_subset(m: int, sides: Sequence[tuple[int, int]]) -> bool:
-    """Whether every nonempty submask S of `m` has a rival weakly better
-    there: one (up, down) of `sides` with S & up nonzero and S & down zero.
-    Submasks are tried in increasing order, small subsets of low joints
-    first."""
+def _pure_dominator(
+    beats: Sequence[Sequence[int]], m: int, pool: Sequence[int], s: int
+) -> Optional[int]:
+    """The first t of `pool` that beats s on every joint of mask `m`, or None."""
+    return next((t for t in pool if beats[t][s] & m == m), None)
+
+
+def _weak_dominators(
+    m: int, beats: Sequence[Sequence[int]], pool: Sequence[int], s: int
+) -> Iterator[tuple[int, Optional[int]]]:
+    """Per nonempty submask S of `m`, in increasing order (small subsets of
+    low joints first), S and the first t of `pool` weakly above s there:
+    better somewhere in S, worse nowhere.  None when no t is."""
+    # Per rival t, where it is better than s and where it is worse.
+    sides = [(t, up, beats[s][t] & m) for t in pool if (up := beats[t][s] & m)]
     subset = -m & m
     while subset:
-        if not any(subset & up and not subset & down for up, down in sides):
-            return False
+        yield subset, next(
+            (t for t, up, down in sides if subset & up and not subset & down), None
+        )
         subset = (subset - m) & m
-    return True
+
+
+def _bits(m: int) -> list[int]:
+    """The set bits of `m`, lowest first."""
+    return [1 << k for k in range(m.bit_length()) if m >> k & 1]
 
 
 def _inherent_joints(r: Restriction, i: int) -> tuple[tuple[int, ...], ...]:
@@ -447,19 +458,6 @@ def _inherent_joints(r: Restriction, i: int) -> tuple[tuple[int, ...], ...]:
     return opps
 
 
-def _weak_dominators(
-    n_joints: int,
-    pool: Sequence[int],
-    rows: Sequence[Sequence[Payoff]],
-    mine: Sequence[Payoff],
-) -> Iterator[tuple[tuple[int, ...], Optional[int]]]:
-    """Per nonempty subset of the `n_joints` columns of `rows`, in odometer
-    order, its positions and the first pool strategy weakly above `mine`
-    there, or None.  A row equal to `mine` is never weakly above it."""
-    for ks in _nonempty_subsets(range(n_joints)):
-        yield ks, next((t for t, row in zip(pool, rows) if _weakly_above(row, mine, ks)), None)
-
-
 def is_inherently_dominated(
     r: Restriction, i: int, s: int
 ) -> tuple[bool, Optional[InherentEvidence]]:
@@ -468,9 +466,7 @@ def is_inherently_dominated(
     per-strategy form; the benchmark's tracer wraps it by name."""
     if not r.contains(i, s):
         raise StructuralError(f"strategy {s} not in restriction for player {i}")
-    opps = _inherent_joints(r, i)
-    mine, *rows = r.payoff_rows(i, [s, *r.kept[i]])
-    if any(t is None for _, t in _weak_dominators(len(opps), r.kept[i], rows, mine)):
+    if s not in Inherent().dominated(r, i):
         return False, None
     return True, Inherent().certify(r, i, s)
 

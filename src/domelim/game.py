@@ -8,22 +8,22 @@ sequence).  Labels matter only for I/O.
 The single canonical enumeration order everywhere is odometer order: the
 last index varies fastest.
 
-Payoffs are read through two views of one odometer order.
-`Restriction.payoff_rows` gives, for player i and some strategies of G_i,
-each strategy's payoffs over the restriction's opponent joints.  It indexes
-per-player flat payoff tuples by odometer strides and validates its
-arguments once per call; the LP builders, certificates and every verifier
-read it.  `Game.beats` holds, per player i and pair (t, s) of G_i, the
-bitmask of opponent joints where t pays i strictly more than s, and
-`Restriction.opponent_mask(i)` is the mask of R's own opponent joints: the
-dominance decisions read only these.  Bit o stands for the joint at flat
-offset o, and the rows, the table and the mask all take their offsets
-from one helper, `_opponent_offsets`, so they cannot disagree on joint
-order.  A `Game` builds the flat payoffs and the masks on first use (not
-at construction, so generating a corpus stays cheap).  A `Game` compares
-by content and hashes its content once, so restrictions of one game are
-cheap memo keys.  Each game owns the memo of its dominated sets,
-`Game.memo`, which lives and dies with the game.
+Payoffs are read through two views of one odometer order: the masks find,
+the rows check.  `Game.beats` holds, per player i and pair (t, s) of G_i,
+the bitmask of opponent joints where t pays i strictly more than s, and
+`Restriction.opponent_mask(i)` is the mask of R's own opponent joints:
+outside the max-min LP, dominance decisions and certificates read only
+these.  `Restriction.payoff_rows` gives, for player i and some strategies
+of G_i, each strategy's payoffs over R's opponent joints, from per-player
+flat payoff tuples and odometer strides; the LP builders and every
+verifier read it, so a certificate is checked on the other view.  Bit o
+stands for the joint at flat offset o, and the rows, the table and the
+mask all take their offsets from one helper, `_opponent_offsets`, so they
+cannot disagree on joint order.  A `Game` builds the flat payoffs and the
+masks on first use (not at construction, so generating a corpus stays
+cheap).  A `Game` compares by content and hashes its content once, so
+restrictions of one game are cheap memo keys.  Each game owns the memo of
+its dominated sets, `Game.memo`, which lives and dies with the game.
 
 The kernel's tables hold a whole payoff as its `int` and any other as its
 `Fraction`.  An `int` compares, hashes and adds exactly like the equal
@@ -206,8 +206,9 @@ class Restriction:
     @classmethod
     def _child(cls, game: Game, kept: tuple[tuple[int, ...], ...]) -> "Restriction":
         """A restriction built without `__post_init__`'s checks.  Only for
-        `kept` cut from a valid restriction of `game` by dropping strategies
-        while every player keeps one, which passes them by construction."""
+        `kept` that passes them by construction: the full ranges of `game`,
+        or a cut of a valid restriction of `game` that drops strategies
+        while every player keeps one."""
         r = object.__new__(cls)
         object.__setattr__(r, "game", game)
         object.__setattr__(r, "kept", kept)
@@ -215,7 +216,7 @@ class Restriction:
 
     @classmethod
     def full(cls, game: Game) -> "Restriction":
-        return cls(game, tuple(tuple(range(s)) for s in game.sizes))
+        return cls._child(game, tuple(tuple(range(s)) for s in game.sizes))
 
     @property
     def n(self) -> int:

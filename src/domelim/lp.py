@@ -25,7 +25,8 @@ dominance, and by LP duality never-best-response under correlated (or
 two-player independent) beliefs, both read its sign.  It decides only a
 strategy that no pure pool strategy beats, and it finds the mixture of
 each strict-mixed certificate, which is built only when a trace writes
-the removal (see `dominance.certify`).
+the removal (see `dominance.certify`), and the mixture against which an
+LP-mode never-best-response certificate is verified.
 `best_response_feasible` solves the dual feasibility LP for a belief
 against which a strategy is a best response; no decision calls it.  It is
 the witness oracle, and the independent side of the duality cross-checks.

@@ -154,6 +154,23 @@ class TestNeverBestCertificates:
         ]:
             assert not verify_certificate(rel, r_belief, 0, 1, replace(cert, better=better))
 
+    def test_lp_evidence_on_forged_input(self, g_pd):
+        rel = NeverBestResponse(CORR)
+        cert = NeverBest(CORR, False)
+        sub = Restriction(g_pd, ((1,), (0, 1)))
+        with pytest.raises(StructuralError):
+            verify_certificate(rel, sub, 0, 0, cert)
+        # A sole strategy has no rival to be beaten by.
+        assert not verify_certificate(rel, sub, 0, 1, cert)
+        r = Restriction.full(g_pd)
+        assert verify_certificate(rel, r, 0, 0, cert)
+        assert not verify_certificate(rel, r, 0, 1, cert)
+        assert not verify_certificate(rel, r, 0, 0, replace(cert, better=(((0,), 1),)))
+        indep = NeverBestResponse(BeliefMode.MIXED_INDEPENDENT)
+        three = Restriction.full(random_game(random.Random(0), 3))
+        with pytest.raises(UnsupportedConfiguration):
+            verify_certificate(indep, three, 0, 0, NeverBest(indep.mode, False))
+
     def test_pure_evidence_must_name_a_pool_strategy(self):
         # G_BELIEF with a row X that beats M everywhere; R leaves X out.
         g = Game.from_table(
@@ -455,33 +472,64 @@ class TestPerPlayerKernel:
 
 
 class TestVerifiersReadRows:
-    """Every substitution verifier reads payoff rows, never the masks that
-    decided the key, so a wrong mask fails a verification instead of
-    agreeing with itself.  (LP-mode `nbr` evidence is its decision, which
-    its verifier asks again; it is not checked here.)"""
+    """The masks find, the rows check.  Every verifier reads payoff rows,
+    never the masks that decided the key, so a wrong mask fails a
+    verification instead of agreeing with itself; LP-mode `nbr` evidence is
+    checked on a mixture the max-min LP finds from the rows.  Conversely,
+    every certificate outside the LP is found on the masks alone."""
+
+    @staticmethod
+    def _refuse(what):
+        def refuse(*args):
+            raise AssertionError(what)
+
+        return refuse
 
     def test_verify_reads_no_mask(self, monkeypatch):
-        rels = [Inherent(), Intersection((StrictPure(), Inherent()))] + [
-            rel
-            for pool in (False, True)
-            for rel in (StrictPure(pool), StrictMixed(pool), NeverBestResponse(PURE, pool))
-        ]
+        def rels(r):
+            modes = (PURE, CORR) + ((BeliefMode.MIXED_INDEPENDENT,) if r.n == 2 else ())
+            return [
+                Inherent(),
+                Intersection((StrictPure(), Inherent())),
+                Intersection((NeverBestResponse(CORR), Inherent())),
+            ] + [
+                rel
+                for pool in (False, True)
+                for rel in (StrictPure(pool), StrictMixed(pool))
+                + tuple(NeverBestResponse(mode, pool) for mode in modes)
+            ]
+
+        restrictions = _random_restrictions(47, 30) + _half_restrictions(48, 30)
         cases = [
             (rel, r, i, s, certify(rel, r, i, s))
-            for r in _random_restrictions(47, 30) + _half_restrictions(48, 30)
-            for rel in rels
+            for r in restrictions
+            for rel in rels(r)
             for i, s in dominated_set(rel, r, validate=False)
         ]
-
-        def refuse(*args):
-            raise AssertionError("a verifier read the masks")
-
-        monkeypatch.setattr(Game, "beats", property(refuse))
-        monkeypatch.setattr(Restriction, "opponent_mask", refuse)
+        monkeypatch.setattr(Game, "beats", property(self._refuse("a verifier read the masks")))
+        monkeypatch.setattr(Restriction, "opponent_mask", self._refuse("a verifier read a mask"))
         for _, r, *_ in cases:
             r.game.memo.clear()  # so that no decision is answered from it
         for rel, r, i, s, cert in cases:
             assert verify_certificate(rel, r, i, s, cert), (rel, r.kept, i, s)
+        assert {rel for rel, *_ in cases} == {rel for r in restrictions for rel in rels(r)}
+
+    def test_certify_reads_no_row(self, monkeypatch):
+        simple = [Inherent()] + [
+            rel for pool in (False, True) for rel in (StrictPure(pool), NeverBestResponse(PURE, pool))
+        ]
+        rels = simple + [Intersection(pair) for pair in combinations(simple, 2)]
+        cases = [
+            (rel, r, i, s, certify(rel, r, i, s))
+            for r in _random_restrictions(49, 30) + _half_restrictions(50, 30)
+            for rel in rels
+            for i, s in dominated_set(rel, r, validate=False)
+        ]
+        monkeypatch.setattr(Restriction, "payoff_rows", self._refuse("a certificate read rows"))
+        for _, r, *_ in cases:
+            r.game.memo.clear()  # so that the decisions run again too
+        for rel, r, i, s, cert in cases:
+            assert certify(rel, r, i, s) == cert, (rel, r.kept, i, s)
         assert {rel for rel, *_ in cases} == set(rels)
 
 

@@ -238,8 +238,9 @@ class TestAllOutcomes:
 
 
 class TestWalkChildren:
-    """`_walk` builds each child without validating it, so every child must
-    be the restriction the checked constructor builds from its kept tuple."""
+    """`_walk` builds each child, and `Restriction.full` the root, without
+    validating it, so each must be the restriction the checked constructor
+    builds from its kept tuple."""
 
     def test_children_equal_checked_restrictions(self):
         pure = [
@@ -254,14 +255,18 @@ class TestWalkChildren:
         games = [random_game(rng, 3 if k % 4 == 0 else 2) for k in range(16)]
         children = 0
         for g in games + search_games()[::3]:
-            for rel in rels:
-                for _, _, kids in _walk(rel, g, DEFAULT_BUDGET):
-                    for child in kids:
-                        checked = Restriction(g, child.kept)
-                        assert child == checked and hash(child) == hash(checked)
-                        assert child.game is g
-                        child.__post_init__()
-                        children += 1
+            built = [Restriction.full(g)] + [
+                child
+                for rel in rels
+                for _, _, kids in _walk(rel, g, DEFAULT_BUDGET)
+                for child in kids
+            ]
+            for child in built:
+                checked = Restriction(g, child.kept)
+                assert child == checked and hash(child) == hash(checked)
+                assert child.game is g
+                child.__post_init__()
+            children += len(built) - 1
         assert children > 0
 
 

@@ -15,7 +15,7 @@ from domelim.dominance import (
     StrictPure,
 )
 from domelim.errors import DomelimError, InvalidCertificate, StructuralError
-from domelim.game import BeliefMode
+from domelim.game import BeliefMode, Game
 from domelim.generate import random_game
 from domelim.reduction import FullSpeed, SingleLex, normal_form
 from domelim.tracedoc import (
@@ -112,6 +112,24 @@ class TestTraceDocuments:
         cert["eps"] = "1000"
         with pytest.raises(InvalidCertificate):
             verify_trace_document(doc, G_MIX)
+
+    @pytest.mark.parametrize("mode", [BeliefMode.CORRELATED, BeliefMode.MIXED_INDEPENDENT])
+    def test_trace_decided_on_wrong_masks_rejected(self, mode, monkeypatch):
+        # Matching pennies: no strategy is dominated under any relation.
+        pennies = Game.from_table([["H", "T"], ["H", "T"]], [(1, -1), (-1, 1), (-1, 1), (1, -1)])
+        rel = NeverBestResponse(mode)
+        assert normal_form(rel, pennies, SingleLex()).steps == ()
+        # A wrong table in which the row player's H beats T at both joints.
+        wrong = (((0, 0b11), (0, 0)), pennies.beats[1])
+        monkeypatch.setattr(Game, "beats", property(lambda g: wrong))
+        game = Game(pennies.labels, pennies.payoffs)
+        doc = trace_to_document(normal_form(rel, game, SingleLex()))
+        entry = doc["steps"][0]["removed"][0]
+        assert (entry["player"], entry["strategy"]) == (1, "T")
+        assert entry["certificate"]["evidence"] == "lp-infeasible"
+        # The wrong table is still in place: the rows catch the removal.
+        with pytest.raises(InvalidCertificate, match="strategy 'T' fails"):
+            verify_trace_document(doc, game)
 
     def test_wrong_game_rejected(self):
         doc = trace_to_document(normal_form(StrictPure(), G_PD, FullSpeed()))
