@@ -52,7 +52,6 @@ from .reduction import (
     check_monotonic_pair,
     check_proof_shape,
     normal_form,
-    successors,
 )
 from .ars import (
     FiniteArs,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import CyclicSystem, StructuralError
@@ -27,9 +28,17 @@ class FiniteArs:
             if not (0 <= a < self.nodes and 0 <= b < self.nodes):
                 raise StructuralError(f"edge ({a},{b}) out of range")
 
-    def successors(self, a: int) -> list[int]:
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, its successors in increasing order."""
+        out: list[list[int]] = [[] for _ in range(self.nodes)]
+        for a, b in sorted(self.edges):
+            out[a].append(b)
+        return tuple(map(tuple, out))
+
+    def successors(self, a: int) -> tuple[int, ...]:
         self._check(a)
-        return sorted(b for x, b in self.edges if x == a)
+        return self._adjacency[a]
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.nodes:
@@ -41,35 +50,15 @@ class FiniteArs:
         seen = {a}
         stack = [a]
         while stack:
-            x = stack.pop()
-            for y in self.successors(x):
+            for y in self._adjacency[stack.pop()]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
         return seen
 
     def is_acyclic(self) -> bool:
-        color = [0] * self.nodes  # 0 white, 1 on stack, 2 done
-        for start in range(self.nodes):
-            if color[start]:
-                continue
-            stack = [(start, iter(self.successors(start)))]
-            color[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for y in it:
-                    if color[y] == 1:
-                        return False
-                    if color[y] == 0:
-                        color[y] = 1
-                        stack.append((y, iter(self.successors(y))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-        return True
+        """No edge a -> b with a reachable from b."""
+        return not any(a in self.reachable(b) for a, b in self.edges)
 
 
 def ars_normal_forms(ars: FiniteArs, node: int) -> set[int]:
@@ -98,10 +87,16 @@ def ars_unique_nf(ars: FiniteArs) -> bool:
     return all(len(ars_normal_forms(ars, a)) == 1 for a in range(ars.nodes))
 
 
+def _check_probability(p_num: int, p_den: int) -> None:
+    if p_den <= 0 or not 0 <= p_num <= p_den:
+        raise StructuralError(f"edge probability must be in [0, 1], got {p_num}/{p_den}")
+
+
 def random_dag(rng: random.Random, nodes: int, p_num: int, p_den: int) -> FiniteArs:
     """Random DAG: edge i -> j for i < j with exact probability p_num/p_den."""
-    if nodes < 1 or p_den <= 0 or not 0 <= p_num <= p_den:
-        raise StructuralError("bad DAG parameters")
+    if nodes < 1:
+        raise StructuralError(f"node count must be at least 1, got {nodes}")
+    _check_probability(p_num, p_den)
     edges = set()
     for i in range(nodes):
         for j in range(i + 1, nodes):
@@ -130,6 +125,7 @@ def newman_experiment(
         raise StructuralError(f"sample count must be non-negative, got {samples}")
     if max_nodes < 2:
         raise StructuralError(f"node count must be at least 2, got {max_nodes}")
+    _check_probability(p_num, p_den)
     rng = random.Random(seed)
     wc = nwc = unf = failures = 0
     for _ in range(samples):

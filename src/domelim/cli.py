@@ -23,9 +23,8 @@ from .gamefile import parse_game
 from .generate import random_game
 from .reduction import (
     DEFAULT_BUDGET,
+    POLICY_NAMES,
     FullSpeed,
-    OrderPolicy,
-    SingleLex,
     SingleRandom,
     all_outcomes,
     check_hereditary_step,
@@ -83,8 +82,8 @@ def _build_parser() -> _Parser:
     add_relation(p)
     p.add_argument(
         "--policy",
-        choices=["fastest", "single-lex", "single-random"],
-        default="fastest",
+        choices=list(POLICY_NAMES.values()),
+        default=POLICY_NAMES[FullSpeed],
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", help="write a JSON trace document here")
@@ -136,13 +135,8 @@ def _print_kept(r: Restriction) -> None:
 def _cmd_reduce(args) -> int:
     g = _load_game(args.file)
     rel = _relation(args)
-    policy: OrderPolicy
-    if args.policy == "fastest":
-        policy = FullSpeed()
-    elif args.policy == "single-lex":
-        policy = SingleLex()
-    else:
-        policy = SingleRandom(args.seed)
+    kind = next(k for k, name in POLICY_NAMES.items() if name == args.policy)
+    policy = SingleRandom(args.seed) if kind is SingleRandom else kind()
     trace = normal_form(rel, g, policy)
     _print_kept(trace.outcome)
     if args.trace:

@@ -21,7 +21,9 @@ can be memoized per (relation, restriction), on the restriction's game.
 Each class answers two questions apart.  Its decision `dominated(r, i)`
 yields player i's dominated strategies in R_i order, and the memo keeps
 only those keys: the order walk, the step checkers and LP-mode NBR ask
-nothing else.  Its `certify(r, i, s)` builds the evidence for one
+nothing else.  `dominated_set` returns them as they are, even all of a
+player's; only reducing needs every player to keep one (see `reduction`).
+Its `certify(r, i, s)` builds the evidence for one
 dominated strategy, and `verify(r, i, s, cert)` re-checks evidence by
 substitution.  Certificates are canonical: the first dominator in pool
 order, the first better pool strategy at each joint, the first weak
@@ -67,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import AssumptionViolated, StructuralError, UnsupportedConfiguration
+from .errors import StructuralError, UnsupportedConfiguration
 from .game import (
     ZERO,
     BeliefMode,
@@ -508,26 +510,14 @@ def _dominated_keys(rel: Relation, r: Restriction) -> tuple[tuple[int, int], ...
     return keys
 
 
-def dominated_set(
-    rel: Relation, r: Restriction, validate: bool = True
-) -> tuple[tuple[int, int], ...]:
+def dominated_set(rel: Relation, r: Restriction) -> tuple[tuple[int, int], ...]:
     """All rel-dominated strategies of r as keys, canonical order.
 
-    With `validate` (the default) every player must keep at least one
-    undominated strategy; a violation raises AssumptionViolated and marks
-    a defect, since reachable restrictions never trip it.
+    It may hold all of a player's strategies: a global relation can
+    dominate a whole R_i on a restriction no reduction reaches.  Reducing
+    checks that every player keeps one (see `reduction`).
     """
-    keys = _dominated_keys(rel, r)
-    if validate:
-        dominated_count = [0] * r.n
-        for i, _ in keys:
-            dominated_count[i] += 1
-        for i, ks in enumerate(r.kept):
-            if dominated_count[i] == len(ks):
-                raise AssumptionViolated(
-                    f"player {i} has no {rel.name}-undominated strategy"
-                )
-    return keys
+    return _dominated_keys(rel, r)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import GameParseError
+from .errors import GameParseError, StructuralError
 from .game import Game
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -108,8 +108,13 @@ def parse_game(text: str) -> Game:
 
 
 def write_game(g: Game) -> str:
+    """The game's file; a label that is empty or holds whitespace or '#'
+    would not parse back, so it raises StructuralError."""
     out = [f"players {g.n}"]
     for i, names in enumerate(g.labels, start=1):
+        for name in names:
+            if name.split() != [name] or "#" in name:
+                raise StructuralError(f"player {i} label {name!r} cannot be written")
         out.append(f"labels {i}: " + " ".join(names))
     out.append("payoffs")
     for k in range(g.num_joints):

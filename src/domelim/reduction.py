@@ -1,11 +1,12 @@
 """Elimination steps, traces, outcome search, and the step-level checkers.
 
 A step removes any nonempty set of strategies that are each dominated in
-the current restriction.  Policies fix which step to take:
+the current restriction.  `normal_form` walks one path, taking the step
+its policy names from the dominated keys:
 
   FullSpeed     remove everything dominated at once
   SingleLex     remove the first dominated strategy in (player, index) order
-  SingleRandom  remove one dominated strategy uniformly, seeded
+  SingleRandom  remove one dominated strategy uniformly, seeded once per trace
 
 The order graph takes every step: one per nonempty subset of the dominated
 set.  A relation is order independent on a game exactly when one
@@ -13,19 +14,20 @@ irreducible restriction is reachable in it.  A step records only the
 (player, strategy) keys it removes, in canonical order; a trace document
 asks `dominance.certify` for the evidence of each.
 
-One lazy depth-first walk, `_walk`, serves `all_outcomes` (the irreducible restrictions),
-`reachable_restrictions` (all of them) and `reachable_steps` (every step).
+One lazy depth-first walk, `_walk`, serves `all_outcomes` (the irreducible
+restrictions) and `reachable_steps` (every step).
 It builds a `Restriction` only for a child whose kept tuple it has not
 seen, and every step to that child reuses it.  It builds that child
 unchecked (`Restriction._child`): the child is its valid parent less some
-dominated strategies, and `dominated_set` has checked that every player
-keeps an undominated one.  Children come in bitmask order over the
-dominated keys.  A budget caps the restrictions
+dominated strategies, and `_dominated` has checked that every player
+keeps an undominated one.  That check, the paper's standing assumption,
+belongs to reducing: the walk and `normal_form` make it, and
+`dominance.dominated_set` does not.  Children come in bitmask order over
+the dominated keys.  A budget caps the restrictions
 admitted; past it, unseen children are dropped.  `all_outcomes` then
-reports `complete=False` with the partial outcome set,
-`reachable_restrictions` raises `BudgetExceeded`, and `reachable_steps`
-yields the steps before the first one to a dropped child and raises it
-there.  Nothing is truncated silently.
+reports `complete=False` with the partial outcome set, and
+`reachable_steps` yields the steps before the first one to a dropped
+child and raises BudgetExceeded there.  Nothing is truncated silently.
 
 The three checkers read one condition on a pair R' inside R (Apt 2010):
 dom(R) & R' <= dom(R'), so every strategy dominated in R and kept in R'
@@ -49,7 +51,7 @@ from itertools import product
 from typing import Iterator, Optional, Union
 
 from .dominance import Relation, dominated_set, is_dominated
-from .errors import BudgetExceeded, StructuralError
+from .errors import AssumptionViolated, BudgetExceeded, StructuralError
 from .game import Game, Restriction, restriction_leq
 
 DEFAULT_BUDGET = 100_000
@@ -80,10 +82,6 @@ POLICY_NAMES = {
 }
 
 
-def policy_name(policy: OrderPolicy) -> str:
-    return POLICY_NAMES[type(policy)]
-
-
 @dataclass(frozen=True)
 class ReductionStep:
     before: Restriction
@@ -106,42 +104,34 @@ class Trace:
     outcome: Restriction
 
 
-def _step(r: Restriction, removed: tuple[tuple[int, int], ...]) -> ReductionStep:
-    return ReductionStep(r, r.remove(removed), removed)
-
-
-def successors(
-    rel: Relation,
-    r: Restriction,
-    policy: OrderPolicy,
-    rng: Optional[random.Random] = None,
-) -> list[ReductionStep]:
-    """Steps available from r under the policy; empty iff nothing is dominated."""
+def _dominated(rel: Relation, r: Restriction) -> tuple[tuple[int, int], ...]:
+    """rel's dominated keys of r.  Every player must keep an undominated
+    strategy; a violation raises AssumptionViolated and marks a defect,
+    since no restriction the order graph reaches trips it."""
     dom = dominated_set(rel, r)
-    if not dom:
-        return []
-    if isinstance(policy, FullSpeed):
-        return [_step(r, dom)]
-    if isinstance(policy, SingleLex):
-        return [_step(r, dom[:1])]
-    if isinstance(policy, SingleRandom):
-        if rng is None:
-            rng = random.Random(policy.seed)
-        return [_step(r, (dom[rng.randrange(len(dom))],))]
-    raise StructuralError(f"not a policy: {type(policy).__name__}")
+    left = [len(ks) for ks in r.kept]
+    for i, _ in dom:
+        left[i] -= 1
+        if not left[i]:
+            raise AssumptionViolated(f"player {i} has no {rel.name}-undominated strategy")
+    return dom
 
 
 def normal_form(rel: Relation, g: Game, policy: OrderPolicy) -> Trace:
-    """Iterate the policy from the full game until no step remains."""
+    """Iterate the policy from the full game until nothing is dominated."""
+    if type(policy) not in POLICY_NAMES:
+        raise StructuralError(f"not a policy: {type(policy).__name__}")
     rng = random.Random(policy.seed) if isinstance(policy, SingleRandom) else None
     r = Restriction.full(g)
     steps = []
-    while True:
-        nxt = successors(rel, r, policy, rng)
-        if not nxt:
-            return Trace(rel, g, policy, tuple(steps), r)
-        steps.append(nxt[0])
-        r = nxt[0].after
+    while dom := _dominated(rel, r):
+        if isinstance(policy, SingleLex):
+            dom = dom[:1]
+        elif rng is not None:
+            dom = (dom[rng.randrange(len(dom))],)
+        steps.append(ReductionStep(r, r.remove(dom), dom))
+        r = steps[-1].after
+    return Trace(rel, g, policy, tuple(steps), r)
 
 
 @dataclass(frozen=True)
@@ -190,7 +180,7 @@ def _walk(
     stack = [start]
     while stack:
         r = stack.pop()
-        dom = dominated_set(rel, r)
+        dom = _dominated(rel, r)
         children: list[Optional[Restriction]] = []
         if dom:
             for kept in _child_kepts(r, dom):
@@ -220,27 +210,6 @@ def all_outcomes(rel: Relation, g: Game, budget: int = DEFAULT_BUDGET) -> Outcom
     return OutcomeSearch(frozenset(outcomes), complete, explored)
 
 
-def _budget_exceeded(rel: Relation, budget: int) -> BudgetExceeded:
-    return BudgetExceeded(
-        f"more than {budget} restrictions reachable under {rel.name}"
-    )
-
-
-def reachable_restrictions(
-    rel: Relation, g: Game, budget: int = DEFAULT_BUDGET
-) -> set[Restriction]:
-    """Every restriction reachable from the full game, itself included.
-
-    Raises BudgetExceeded when more than `budget` are reachable.
-    """
-    out = set()
-    for r, _, children in _walk(rel, g, budget):
-        if None in children:
-            raise _budget_exceeded(rel, budget)
-        out.add(r)
-    return out
-
-
 def reachable_steps(
     rel: Relation, g: Game, budget: int = DEFAULT_BUDGET
 ) -> Iterator[ReductionStep]:
@@ -252,7 +221,9 @@ def reachable_steps(
     for r, dom, children in _walk(rel, g, budget):
         for mask, child in enumerate(children, start=1):
             if child is None:
-                raise _budget_exceeded(rel, budget)
+                raise BudgetExceeded(
+                    f"more than {budget} restrictions reachable under {rel.name}"
+                )
             removed = tuple(k for j, k in enumerate(dom) if mask >> j & 1)
             yield ReductionStep(r, child, removed)
 

@@ -28,7 +28,7 @@ from .dominance import (
 from .errors import InvalidCertificate, StructuralError
 from .game import BeliefMode, Game, MixedStrategy, Restriction
 from .gamefile import format_rational, parse_rational
-from .reduction import POLICY_NAMES, Trace, policy_name
+from .reduction import POLICY_NAMES, Trace
 
 
 def _label(g: Game, i: int, s: int) -> str:
@@ -176,7 +176,7 @@ def trace_to_document(trace: Trace) -> dict:
                     }
                     for i, s in step.removed
                 ],
-                "policy": policy_name(trace.policy),
+                "policy": POLICY_NAMES[type(trace.policy)],
             }
             for step in trace.steps
         ],
@@ -235,5 +235,5 @@ def verify_trace_document(doc: dict, g: Game) -> None:
     kept = [[_label(g, i, s) for s in ks] for i, ks in enumerate(r.kept)]
     if kept != _field(_field(doc, "outcome", dict), "kept", list):
         raise InvalidCertificate("trace outcome does not match the replayed steps")
-    if dominated_set(rel, r, validate=False):
+    if dominated_set(rel, r):
         raise InvalidCertificate("trace outcome is not irreducible: steps are missing")

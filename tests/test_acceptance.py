@@ -42,12 +42,11 @@ from domelim.reduction import (
     check_monotonic_pair,
     check_proof_shape,
     normal_form,
-    reachable_restrictions,
     reachable_steps,
 )
 from domelim.tracedoc import dump_trace, verify_trace_document
 
-from fixtures import G_BELIEF, G_MIX, G_PD
+from fixtures import G_BELIEF, G_MIX, G_PD, reachable_restrictions
 from oracles import mixed_strictly_dominates, persist_dominator
 
 SUITE_SEED = 2024
@@ -300,14 +299,14 @@ def test_criterion_6_inclusion_chain(suite, visited):
     for seen in visited:
         for r in seen:
             for small, big in chains:
-                d_small = set(dominated_set(small, r, validate=False))
-                d_big = set(dominated_set(big, r, validate=False))
+                d_small = set(dominated_set(small, r))
+                d_big = set(dominated_set(big, r))
                 checked += 1
                 if not d_small <= d_big:
                     bad.append((small.name, big.name, r.kept))
             # The engine decides correlated nbr from the strict-mixed entries,
             # so its other side comes from the feasibility LP, per strategy.
-            d_sm = set(dominated_set(StrictMixed(), r, validate=False))
+            d_sm = set(dominated_set(StrictMixed(), r))
             d_nbr = {
                 (i, s)
                 for i, s in r.strategies()

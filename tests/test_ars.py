@@ -90,6 +90,11 @@ class TestNewmanExperiment:
             50, 8, 1, 4, seed=9
         )
 
+    @pytest.mark.parametrize("p_num,p_den", [(7, 3), (-1, 2), (1, 0), (1, -2)])
+    def test_bad_probability_rejected_without_samples(self, p_num, p_den):
+        with pytest.raises(StructuralError, match="edge probability"):
+            newman_experiment(0, 5, p_num, p_den, seed=1)
+
     def test_bad_probability_rejected(self):
         rng = random.Random(0)
         with pytest.raises(StructuralError):

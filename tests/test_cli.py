@@ -86,7 +86,7 @@ class TestReduce:
         assert code == 3
 
     def test_other_engine_error_exits_3(self, pd_file, monkeypatch, capsys):
-        def violated(rel, r, validate=True):
+        def violated(rel, r):
             raise AssumptionViolated("player 1 has no strict-pure-undominated strategy")
 
         monkeypatch.setattr(reduction, "dominated_set", violated)
@@ -274,6 +274,16 @@ class TestArs:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prob", ["7/3", "3/2", "1/0", "1/-2"])
+    def test_probability_outside_unit_interval_without_samples(self, prob, capsys):
+        code = main(
+            ["ars", "--nodes", "5", "--edge-prob", prob, "--samples", "0", "--seed", "1"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: edge probability must be in [0, 1], got {prob}\n"
+        assert captured.out == ""
 
     def test_negative_samples(self, capsys):
         code = main(

@@ -29,7 +29,6 @@ from domelim.dominance import (
     weakly_dominates_pure,
 )
 from domelim.errors import (
-    AssumptionViolated,
     InvalidCertificate,
     StructuralError,
     UnsupportedConfiguration,
@@ -37,8 +36,8 @@ from domelim.errors import (
 from domelim.game import BeliefMode, Game, MixedStrategy, Restriction
 from domelim.generate import random_game
 from domelim.lp import best_response_feasible, max_min_advantage
-from domelim.reduction import reachable_restrictions
 
+from fixtures import reachable_restrictions
 from oracles import (
     DegenerateDominator,
     decide_reference,
@@ -84,7 +83,7 @@ class TestDominatedSet:
     def test_global_widening_on_sub_restriction(self, g_pd):
         sub = Restriction(g_pd, ((0,), (0, 1)))
         assert set(dominated_set(StrictPure(), sub)) == {(1, 0)}
-        raw = dominated_set(StrictPure(global_pool=True), sub, validate=False)
+        raw = dominated_set(StrictPure(global_pool=True), sub)
         assert set(raw) == {(0, 0), (1, 0)}
 
     def test_strict_mixed_mix(self, r_mix):
@@ -99,11 +98,14 @@ class TestDominatedSet:
         rel = Intersection((StrictPure(), NeverBestResponse(PURE)))
         assert dominated_set(rel, r_belief) == ()
 
-    def test_assumption_violated_reported(self, g_pd):
-        # Both players' only strategy is globally dominated here.
+    def test_whole_player_dominated_returned(self, g_pd):
+        # Both players' only strategy is globally dominated on this
+        # restriction, which no step reaches: the set says so and does
+        # not raise, since only reducing needs every player to keep one.
         sub = Restriction(g_pd, ((0,), (0,)))
-        with pytest.raises(AssumptionViolated):
-            dominated_set(StrictPure(global_pool=True), sub)
+        assert dominated_set(StrictPure(global_pool=True), sub) == ((0, 0), (1, 0))
+        sub = Restriction(g_pd, ((0, 1), (0,)))
+        assert dominated_set(StrictPure(global_pool=True), sub) == ((0, 0), (1, 0))
 
     def test_unsupported_mixed_beliefs_three_players(self):
         g = random_game(random.Random(0), 3)
@@ -126,7 +128,7 @@ class TestDominatedSet:
         ]
         for r in (r_pd, r_mix, r_belief):
             for rel in rels:
-                for i, s in dominated_set(rel, r, validate=False):
+                for i, s in dominated_set(rel, r):
                     assert verify_certificate(rel, r, i, s, certify(rel, r, i, s))
 
 
@@ -243,7 +245,7 @@ class TestInherent:
         assert is_inherently_dominated(r, 2, 0) == (False, None)
         # The dominated set raises when it reaches player 0.
         with pytest.raises(UnsupportedConfiguration, match="^20 opponent joints"):
-            dominated_set(Inherent(), r, validate=False)
+            dominated_set(Inherent(), r)
         # So does checking a certificate there, before it builds any subset.
         forged = InherentEvidence((((r.opponent_joints(0)[0],), 1),))
         with pytest.raises(UnsupportedConfiguration, match="^20 opponent joints"):
@@ -254,7 +256,7 @@ class TestInherent:
         for _ in range(15):
             g = random_game(rng, 2)
             r = Restriction.full(g)
-            for (i, s) in dominated_set(StrictPure(), r, validate=False):
+            for (i, s) in dominated_set(StrictPure(), r):
                 ok, _ = is_inherently_dominated(r, i, s)
                 assert ok
 
@@ -272,8 +274,8 @@ class TestInclusionChains:
     def test_subset_pairs(self, r_pd, r_mix, r_belief, r_one):
         for r in [r_pd, r_mix, r_belief, r_one] + _full_restrictions(31, 12, 4):
             for small, big in self.REL_PAIRS:
-                d_small = set(dominated_set(small, r, validate=False))
-                d_big = set(dominated_set(big, r, validate=False))
+                d_small = set(dominated_set(small, r))
+                d_big = set(dominated_set(big, r))
                 assert d_small <= d_big, (small.name, big.name)
 
     def test_local_equals_global_on_full_game(self, g_pd, g_mix, g_belief):
@@ -286,17 +288,17 @@ class TestInclusionChains:
         for g in (g_pd, g_mix, g_belief):
             r = Restriction.full(g)
             for local, global_ in pairs:
-                assert set(dominated_set(local, r, validate=False)) == set(
-                    dominated_set(global_, r, validate=False)
+                assert set(dominated_set(local, r)) == set(
+                    dominated_set(global_, r)
                 )
 
     def test_intersection_is_set_intersection(self, r_pd, r_belief):
         rel = Intersection((StrictPure(), NeverBestResponse(PURE)))
         for r in (r_pd, r_belief):
-            expected = set(dominated_set(StrictPure(), r, validate=False)) & set(
-                dominated_set(NeverBestResponse(PURE), r, validate=False)
+            expected = set(dominated_set(StrictPure(), r)) & set(
+                dominated_set(NeverBestResponse(PURE), r)
             )
-            assert set(dominated_set(rel, r, validate=False)) == expected
+            assert set(dominated_set(rel, r)) == expected
 
 
 def _full_restrictions(seed, count, three_player_every=None):
@@ -366,7 +368,7 @@ class TestPureWitnessPrefilter:
                         if eps > 0:
                             expected[(i, s)] = MixedDominator(m, eps)
                 rel = StrictMixed(global_pool=global_pool)
-                keys = dominated_set(rel, r, validate=False)
+                keys = dominated_set(rel, r)
                 assert keys == tuple(expected)
                 assert {k: certify(rel, r, *k) for k in keys} == expected
                 compare = full_pools if global_pool else [None] * r.n
@@ -377,7 +379,7 @@ class TestPureWitnessPrefilter:
                         if best_response_feasible(r, i, s, mode, compare[i]) is None
                     )
                     rel = NeverBestResponse(mode, global_pool=global_pool)
-                    assert dominated_set(rel, r, validate=False) == expected
+                    assert dominated_set(rel, r) == expected
 
 
 def _half_restrictions(seed, count):
@@ -421,7 +423,7 @@ class TestPerPlayerKernel:
                     cert = decide_reference(rel, r, i, s)
                     if cert is not None:
                         expected.append(((i, s), cert))
-                got = dominated_set(rel, r, validate=False)
+                got = dominated_set(rel, r)
                 assert [(k, certify(rel, r, *k)) for k in got] == expected, (rel, r.kept)
                 dominated[rel] += len(expected)
                 if any(p.denominator == 2 for p in r.game.payoffs):
@@ -436,8 +438,8 @@ class TestPerPlayerKernel:
         for r in _random_restrictions(45, 45) + _half_restrictions(46, 45):
             for local in (StrictPure(), StrictMixed(), NeverBestResponse(PURE)):
                 wide = replace(local, global_pool=True)
-                held = set(dominated_set(local, r, validate=False))
-                outside += len(set(dominated_set(wide, r, validate=False)) - held)
+                held = set(dominated_set(local, r))
+                outside += len(set(dominated_set(wide, r)) - held)
         assert outside > 0
 
     def test_inherent_three_players_hinges_on_a_tie(self):
@@ -504,7 +506,7 @@ class TestVerifiersReadRows:
             (rel, r, i, s, certify(rel, r, i, s))
             for r in restrictions
             for rel in rels(r)
-            for i, s in dominated_set(rel, r, validate=False)
+            for i, s in dominated_set(rel, r)
         ]
         monkeypatch.setattr(Game, "beats", property(self._refuse("a verifier read the masks")))
         monkeypatch.setattr(Restriction, "opponent_mask", self._refuse("a verifier read a mask"))
@@ -523,7 +525,7 @@ class TestVerifiersReadRows:
             (rel, r, i, s, certify(rel, r, i, s))
             for r in _random_restrictions(49, 30) + _half_restrictions(50, 30)
             for rel in rels
-            for i, s in dominated_set(rel, r, validate=False)
+            for i, s in dominated_set(rel, r)
         ]
         monkeypatch.setattr(Restriction, "payoff_rows", self._refuse("a certificate read rows"))
         for _, r, *_ in cases:
@@ -550,11 +552,11 @@ class TestNeverBestResponseFold:
         dominated = 0
         for r in _random_restrictions(41, 40):
             for global_pool in (False, True):
-                keys = dominated_set(StrictMixed(global_pool), r, validate=False)
+                keys = dominated_set(StrictMixed(global_pool), r)
                 dominated += len(keys)
                 for mode in (CORR, BeliefMode.MIXED_INDEPENDENT) if r.n == 2 else (CORR,):
                     rel = NeverBestResponse(mode, global_pool)
-                    assert dominated_set(rel, r, validate=False) == keys
+                    assert dominated_set(rel, r) == keys
                     for i, s in keys:
                         assert certify(rel, r, i, s) == NeverBest(mode, global_pool)
         assert dominated > 0
@@ -660,12 +662,12 @@ class TestIntersectionEntries:
                 + [NeverBestResponse(m, global_pool=True) for m in modes]
             )
             for pair in combinations(simple, 2):
-                sets = [dominated_set(p, r, validate=False) for p in pair]
+                sets = [dominated_set(p, r) for p in pair]
                 expected = tuple(
                     key for key in r.strategies() if all(key in d for d in sets)
                 )
                 rel = Intersection(pair)
-                assert dominated_set(rel, r, validate=False) == expected
+                assert dominated_set(rel, r) == expected
                 for i, s in expected:
                     cert = certify(rel, r, i, s)
                     assert cert == IntersectionEvidence(
@@ -798,7 +800,7 @@ class TestPersistDominator:
         for _ in range(80):
             g = random_game(rng, 2)
             r = Restriction.full(g)
-            dom = dominated_set(StrictMixed(), r, validate=False)
+            dom = dominated_set(StrictMixed(), r)
             for i in range(2):
                 mine = [(s, certify(StrictMixed(), r, i, s)) for j, s in dom if j == i]
                 if len(mine) < 2:

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domelim.errors import DomelimError, GameParseError
+from domelim.errors import DomelimError, GameParseError, StructuralError
+from domelim.game import Game
 from domelim.gamefile import format_rational, parse_game, parse_rational, write_game
 from domelim.generate import random_game
 
@@ -93,6 +94,29 @@ class TestWrite:
         for k in range(100):
             g = random_game(rng, 3 if k % 5 == 0 else 2)
             assert parse_game(write_game(g)) == g
+
+    @pytest.mark.parametrize(
+        "label", ["", "a#b", "e f", " e", "e\n", "e\tf", "e\u2028f", "#"]
+    )
+    def test_unreadable_label_rejected(self, label):
+        g = Game.from_table([[label, "c"], ["d"]], [(0, 0), (1, 1)])
+        with pytest.raises(StructuralError, match="cannot be written"):
+            write_game(g)
+
+    def test_every_written_label_reads_back(self):
+        g = Game.from_table([["a:b", "é", "1/2"], ["payoffs"]], [(0, 0), (1, 1), (2, 2)])
+        assert parse_game(write_game(g)) == g
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True))
+    def test_written_or_refused(self, names):
+        """Any labels either write a file that parses back or are refused."""
+        g = Game.from_table([names, ["x"]], [(k, 0) for k in range(len(names))])
+        try:
+            text = write_game(g)
+        except StructuralError:
+            return
+        assert parse_game(text) == g
 
     @given(st.integers(-10**12, 10**12), st.integers(1, 10**12))
     def test_rational_round_trip(self, num, den):

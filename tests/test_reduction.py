@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import pytest
 
-from domelim import dominance
+from domelim import dominance, reduction
 from domelim.dominance import (
     Inherent,
     Intersection,
@@ -41,12 +41,11 @@ from domelim.reduction import (
     check_monotonic_pair,
     check_proof_shape,
     normal_form,
-    reachable_restrictions,
     reachable_steps,
-    successors,
 )
 from domelim.tracedoc import dump_trace, verify_trace_document
 
+from fixtures import reachable_restrictions
 from oracles import (
     all_outcomes_reference,
     proof_shape_reference,
@@ -91,8 +90,10 @@ def search_games():
 
 
 class TestSuccessors:
-    def test_pd_full_speed_single_step(self, r_pd):
-        steps = successors(StrictPure(), r_pd, FullSpeed())
+    """The step `normal_form` takes under each policy, read off its trace."""
+
+    def test_pd_full_speed_single_step(self, g_pd):
+        steps = normal_form(StrictPure(), g_pd, FullSpeed()).steps
         assert len(steps) == 1
         assert steps[0].after.kept == ((1,), (1,))
         assert steps[0].removed == ((0, 0), (1, 0))
@@ -102,20 +103,65 @@ class TestSuccessors:
         afters = {step.after.kept for step in steps}
         assert afters == {((1,), (0, 1)), ((0, 1), (1,)), ((1,), (1,))}
 
-    def test_terminal_is_empty(self, g_pd):
-        terminal = Restriction(g_pd, ((1,), (1,)))
+    def test_terminal_is_empty(self, g_mix):
+        # Only a mixture beats G_MIX's middle row: strict-pure removes nothing.
         for policy in (FullSpeed(), SingleLex(), SingleRandom(0)):
-            assert successors(StrictPure(), terminal, policy) == []
+            trace = normal_form(StrictPure(), g_mix, policy)
+            assert trace.steps == () and trace.outcome == Restriction.full(g_mix)
 
-    def test_single_lex_takes_first(self, r_pd):
-        steps = successors(StrictPure(), r_pd, SingleLex())
-        assert len(steps) == 1
+    def test_single_lex_takes_first(self, g_pd):
+        steps = normal_form(StrictPure(), g_pd, SingleLex()).steps
+        assert len(steps) == 2
         assert steps[0].removed == ((0, 0),)
 
-    def test_single_random_deterministic(self, r_pd):
-        a = successors(StrictPure(), r_pd, SingleRandom(7))
-        b = successors(StrictPure(), r_pd, SingleRandom(7))
-        assert a == b
+    def test_single_random_deterministic(self, g_pd):
+        a = normal_form(StrictPure(), g_pd, SingleRandom(7)).steps
+        b = normal_form(StrictPure(), g_pd, SingleRandom(7)).steps
+        assert a == b and len(a) == 2
+
+    def test_single_random_draws_from_one_seeded_generator(self, g_pd):
+        rng = random.Random(7)
+        r = Restriction.full(g_pd)
+        for step in normal_form(StrictPure(), g_pd, SingleRandom(7)).steps:
+            dom = dominated_set(StrictPure(), r)
+            assert step.removed == (dom[rng.randrange(len(dom))],)
+            r = step.after
+
+    def test_not_a_policy_rejected_up_front(self, g_mix):
+        # Nothing is dominated here, so no step would ever read the policy.
+        with pytest.raises(StructuralError, match="not a policy: str"):
+            normal_form(StrictPure(), g_mix, "fastest")
+
+
+class TestAssumptionCheck:
+    """Reducing checks that every player keeps an undominated strategy:
+    a dominated set that covers a player stops the walk and the path."""
+
+    @staticmethod
+    def _cover_first_player(monkeypatch):
+        def first_player(rel, r):
+            return tuple(k for k in r.strategies() if k[0] == 0)
+
+        monkeypatch.setattr(reduction, "dominated_set", first_player)
+
+    def test_all_outcomes_raises(self, g_pd, monkeypatch):
+        self._cover_first_player(monkeypatch)
+        with pytest.raises(AssumptionViolated, match="player 0 has no strict-pure-"):
+            all_outcomes(StrictPure(), g_pd)
+
+    def test_normal_form_raises(self, g_pd, monkeypatch):
+        self._cover_first_player(monkeypatch)
+        for policy in (FullSpeed(), SingleLex(), SingleRandom(0)):
+            with pytest.raises(AssumptionViolated, match="player 0 has no strict-pure-"):
+                normal_form(StrictPure(), g_pd, policy)
+
+    def test_walks_do_not_trip_it(self, g_pd):
+        """Global strict-pure dominates both lone cooperations, a restriction
+        that no step reaches; every reachable one keeps a strategy each."""
+        rel = StrictPure(global_pool=True)
+        assert dominated_set(rel, Restriction(g_pd, ((0,), (0,)))) == ((0, 0), (1, 0))
+        assert {r.kept for r in all_outcomes(rel, g_pd).outcomes} == {((1,), (1,))}
+        assert normal_form(rel, g_pd, SingleLex()).outcome.kept == ((1,), (1,))
 
 
 class TestNormalForm:
@@ -318,16 +364,16 @@ class TestReachableSteps:
 
 
 class TestHereditaryStep:
-    def test_pd_single_lex_step(self, r_pd):
-        step = successors(StrictPure(), r_pd, SingleLex())[0]
+    def test_pd_single_lex_step(self, g_pd):
+        step = normal_form(StrictPure(), g_pd, SingleLex()).steps[0]
         assert check_hereditary_step(StrictPure(), step) is None
 
     def test_mix_steps(self, g_mix):
         for step in reachable_steps(StrictMixed(), g_mix):
             assert check_hereditary_step(StrictMixed(), step) is None
 
-    def test_full_speed_vacuous(self, r_pd):
-        step = successors(StrictPure(), r_pd, FullSpeed())[0]
+    def test_full_speed_vacuous(self, g_pd):
+        step = normal_form(StrictPure(), g_pd, FullSpeed()).steps[0]
         assert check_hereditary_step(StrictPure(), step) is None
 
 
@@ -390,9 +436,8 @@ class TestOneHereditarityPredicate:
             if rng.random() < 0.5:
                 kept = [[s for s in range(size) if rng.random() < 0.7] for size in g.sizes]
                 r = Restriction(g, tuple(tuple(ks or [0]) for ks in kept))
-            try:
-                dom = dominated_set(rel, r)
-            except AssumptionViolated:
+            dom = dominated_set(rel, r)
+            if any(all((i, s) in dom for s in ks) for i, ks in enumerate(r.kept)):
                 continue
             pool = dom if rng.random() < 0.5 else tuple(r.strategies())
             removed = tuple(k for k in pool if rng.random() < 0.5)
