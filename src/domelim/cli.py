@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import random
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -107,6 +108,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ars", help="Newman's-Lemma experiment on random DAGs")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--edge-prob", required=True, help="exact probability P/Q")
+    # argparse reads -1/2 as an option; an argument "-<digit>..." is a value here.
+    p._negative_number_matcher = re.compile(r"^-\d")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 

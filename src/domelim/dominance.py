@@ -15,16 +15,15 @@ there:
 `global_pool=True` makes it G_i, the initial game's strategies, which is
 the "global" variant.  `mode` is what an NBR belief ranges over: pure
 opponent joints, independent mixtures (exact on two players only), or
-correlated distributions.  Relations are hashable values so dominated sets
-can be memoized per (relation, restriction), on the restriction's game.
+correlated distributions.  Relations are hashable values so the simple
+relations' dominated sets, the base decisions, can be memoized per
+(relation, restriction), on the restriction's game.
 
 Each class answers two questions apart.  Its decision `dominated(r, i)`
 yields player i's dominated strategies in R_i order, and the memo keeps
-only those keys: the order walk, the step checkers and LP-mode NBR ask
-nothing else.  `dominated_set` returns them as they are, even all of a
-player's; only reducing needs every player to keep one (see `reduction`).
-Its `certify(r, i, s)` builds the evidence for one
-dominated strategy, and `verify(r, i, s, cert)` re-checks evidence by
+only those keys: the order walk, the step checkers, intersections and
+LP-mode NBR ask nothing else.  Its `certify(r, i, s)` builds the evidence
+for one dominated strategy, and `verify(r, i, s, cert)` re-checks it by
 substitution.  Certificates are canonical: the first dominator in pool
 order, the first better pool strategy at each joint, the first weak
 dominator on each subset of joints in odometer order, the mixture the
@@ -57,10 +56,8 @@ Under correlated beliefs, and independent ones on two players (where an
 independent belief is a distribution over the one opponent's strategies),
 `s` is a never best response against a pool exactly when a mixture of the
 pool less `s` beats it: the two LPs are duals (Pearce 1984, Lemma 3).  So
-LP-mode NBR reads the `StrictMixed` memo entry of the same pool flag and
-restriction, and one decision serves `strict-mixed` and both LP modes of
-`nbr`.  Its certificate names no mixture, so its verifier solves the
-max-min LP on the rows and checks the mixture's margin by substitution.
+LP-mode NBR, with no decision of its own, refuses independent beliefs on
+three or more players and reads the `StrictMixed` entry of its pool flag.
 """
 
 from __future__ import annotations
@@ -167,12 +164,8 @@ class NeverBestResponse:
         return self.mode
 
     def dominated(self, r: Restriction, i: int) -> Iterable[int]:
-        if self.mode is BeliefMode.PURE:
-            # A strategy meeting no column maximum is beaten at every joint.
-            return _candidates(r, i, _pool(self, r, i))[2]
-        self._refuse_independent(r)
-        # LP duality: never a best response iff strictly dominated by a mixture.
-        return [s for j, s in _dominated_keys(StrictMixed(self.global_pool), r) if j == i]
+        # Pure beliefs only (LP modes read StrictMixed): the strategies beaten at every joint.
+        return _candidates(r, i, _pool(self, r, i))[2]
 
     def _refuse_independent(self, r: Restriction) -> None:
         if self.mode is BeliefMode.MIXED_INDEPENDENT and r.n > 2:
@@ -199,13 +192,11 @@ class NeverBestResponse:
         if self.mode is not BeliefMode.PURE:
             # By LP duality, a mixture of the pool less s that beats s: the
             # LP finds it from the rows, and its margin is checked on them.
-            if not r.contains(i, s):
-                raise StructuralError(f"strategy {s} not in restriction for player {i}")
             self._refuse_independent(r)
             rivals = _rivals(self, r, i, s)
             if cert.better or not rivals:
                 return False
-            eps, mixed = max_min_advantage(r, i, s, rivals)
+            eps, mixed = max_min_advantage(r, i, s, rivals)  # checks that R holds s
             return eps > 0 and _mixed_margin(r, i, mixed, s) == eps
         # One strictly better pool strategy at each opponent joint of R.
         opps = r.opponent_joints(i)
@@ -301,13 +292,15 @@ _BY_NAME = {
 
 
 def parse_relation(name: str, beliefs: BeliefMode = BeliefMode.PURE) -> Relation:
-    """Parse a relation name; comma-joined names form an intersection."""
+    """Parse a relation name; distinct comma-joined names form an intersection."""
     known = _BY_NAME[beliefs]
     parts = []
     for token in name.split(","):
         token = token.strip()
         if token not in known:
             raise StructuralError(f"unknown relation {token!r}")
+        if known[token] in parts:
+            raise StructuralError(f"relation {token!r} named twice")
         parts.append(known[token])
     return parts[0] if len(parts) == 1 else Intersection(tuple(parts))
 
@@ -485,28 +478,26 @@ def is_dominated(rel: Relation, r: Restriction, i: int, s: int) -> bool:
 
 
 def _dominated_keys(rel: Relation, r: Restriction) -> tuple[tuple[int, int], ...]:
-    """The memo: rel's dominated strategies of r as (player, strategy) keys,
-    in canonical order, kept in `r.game.memo` for as long as the game lives.
+    """rel's dominated (player, strategy) keys of r, in canonical order.
 
-    An intersection keeps the keys every part holds, reading each part's
-    keys once.  Parts are read in order and the scan stops once no key is
-    left, so a part is evaluated exactly when some strategy is dominated
-    under every earlier part.
+    Only simple relations' keys are memoized, in `r.game.memo`; LP-mode NBR
+    reads `StrictMixed`'s.  An intersection keeps the keys every part
+    holds, reading a part only while some key survives the earlier parts.
     """
-    memo = r.game.memo
-    keys = memo.get((rel, r))
-    if keys is not None:
-        return keys
     if isinstance(rel, Intersection):
         keys = _dominated_keys(rel.parts[0], r)
         for part in rel.parts[1:]:
-            if not keys:
-                break
-            held = _dominated_keys(part, r)
-            keys = tuple(key for key in keys if key in held)
-    else:
-        keys = tuple((i, s) for i in range(r.n) for s in rel.dominated(r, i))
-    memo[(rel, r)] = keys
+            if keys:
+                held = _dominated_keys(part, r)
+                keys = tuple(key for key in keys if key in held)
+        return keys
+    if isinstance(rel, NeverBestResponse) and rel.mode is not BeliefMode.PURE:
+        rel._refuse_independent(r)
+        rel = StrictMixed(rel.global_pool)
+    memo = r.game.memo
+    keys = memo.get((rel, r))
+    if keys is None:
+        keys = memo[(rel, r)] = tuple((i, s) for i in range(r.n) for s in rel.dominated(r, i))
     return keys
 
 

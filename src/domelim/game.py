@@ -22,8 +22,8 @@ mask all take their offsets from one helper, `_opponent_offsets`, so they
 cannot disagree on joint order.  A `Game` builds the flat payoffs and the
 masks on first use (not at construction, so generating a corpus stays
 cheap).  A `Game` compares by content and hashes its content once, so
-restrictions of one game are cheap memo keys.  Each game owns the memo of
-its dominated sets, `Game.memo`, which lives and dies with the game.
+restrictions of one game are cheap memo keys.  `Game.memo`, which dies with
+the game, holds only base decisions; intersections and LP-mode NBR read them.
 
 The kernel's tables hold a whole payoff as its `int` and any other as its
 `Fraction`.  An `int` compares, hashes and adds exactly like the equal
@@ -160,7 +160,7 @@ class Game:
 
     @cached_property
     def memo(self) -> dict:
-        """(relation, restriction) -> its dominated keys, filled by `dominance`."""
+        """(simple relation, restriction) -> its dominated keys, filled by `dominance`."""
         return {}
 
     @property

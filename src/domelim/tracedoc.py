@@ -19,7 +19,6 @@ from .dominance import (
     MixedDominator,
     NeverBest,
     PureDominator,
-    Relation,
     certify,
     dominated_set,
     parse_relation,
@@ -28,7 +27,7 @@ from .dominance import (
 from .errors import InvalidCertificate, StructuralError
 from .game import BeliefMode, Game, MixedStrategy, Restriction
 from .gamefile import format_rational, parse_rational
-from .reduction import POLICY_NAMES, Trace
+from .reduction import POLICY_NAMES, FullSpeed, Trace
 
 
 def _label(g: Game, i: int, s: int) -> str:
@@ -138,6 +137,8 @@ def certificate_from_json(g: Game, i: int, doc: dict) -> Certificate:
                 )
                 for e in _field(doc, "evidence", list)
             )
+        elif _field(doc, "evidence", str) != "lp-infeasible":
+            raise StructuralError("LP-mode evidence must be 'lp-infeasible'")
         return NeverBest(mode, _field(doc, "global", bool), better)
     if kind == "inherent":
         return InherentEvidence(
@@ -199,13 +200,14 @@ def dump_trace(trace: Trace) -> str:
 def verify_trace_document(doc: dict, g: Game) -> None:
     """Replay a trace document against a game; raises on any defect.
 
-    Every step must remove something and name one of the order policies.
-    The replayed outcome must be irreducible, so a trace with steps cut
-    off its end is rejected.
+    A `belief_mode` is given exactly for a relation that has one.  Every
+    step names an order policy and removes something, no strategy twice
+    and one under `single-*`.  The replayed outcome must be irreducible.
     """
     name = _field(doc, "relation", str)
-    mode = _belief_mode(doc.get("belief_mode", BeliefMode.PURE.value))
-    rel: Relation = parse_relation(name, mode)
+    rel = parse_relation(name, _belief_mode(doc.get("belief_mode", BeliefMode.PURE.value)))
+    if ("belief_mode" in doc) != (rel.belief_mode is not None):
+        raise StructuralError(f"belief_mode does not fit relation {name!r}")
     labels = _field(_field(doc, "initial", dict), "labels", list)
     if labels != [list(names) for names in g.labels]:
         raise InvalidCertificate("trace labels do not match the game")
@@ -222,6 +224,8 @@ def verify_trace_document(doc: dict, g: Game) -> None:
             i = player - 1
             label = _field(entry, "strategy", str)
             s = _index(g, i, label)
+            if (i, s) in removed:
+                raise InvalidCertificate(f"a step removes strategy {label!r} twice")
             cert = certificate_from_json(g, i, _field(entry, "certificate", dict))
             if not verify_certificate(rel, r, i, s, cert):
                 raise InvalidCertificate(
@@ -231,6 +235,8 @@ def verify_trace_document(doc: dict, g: Game) -> None:
             removed.append((i, s))
         if not removed:
             raise InvalidCertificate("a step removes no strategy")
+        if len(removed) > 1 and policy != POLICY_NAMES[FullSpeed]:
+            raise InvalidCertificate(f"a {policy} step removes {len(removed)} strategies")
         r = r.remove(removed)
     kept = [[_label(g, i, s) for s in ks] for i, ks in enumerate(r.kept)]
     if kept != _field(_field(doc, "outcome", dict), "kept", list):

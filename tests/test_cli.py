@@ -285,6 +285,17 @@ class TestArs:
         assert captured.err == f"error: edge probability must be in [0, 1], got {prob}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "edge", [["--edge-prob", "-1/2"], ["--edge-prob=-1/2"]], ids=["apart", "joined"]
+    )
+    def test_negative_probability_in_either_spelling(self, edge, capsys):
+        # A value starting with "-" is the option's value, not another option.
+        code = main(["ars", "--nodes", "5", *edge, "--samples", "0", "--seed", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: edge probability must be in [0, 1], got -1/2\n"
+        assert captured.out == ""
+
     def test_negative_samples(self, capsys):
         code = main(
             ["ars", "--nodes", "5", "--edge-prob", "1/4", "--samples", "-3", "--seed", "1"]

@@ -690,6 +690,20 @@ class TestIntersectionEntries:
         with pytest.raises(UnsupportedConfiguration):
             dominated_set(rel, graded)
 
+    def test_independent_beliefs_raise_though_strict_mixed_is_memoized(self):
+        # LP-mode nbr reads the strict-mixed entry, which the first part
+        # has just filled with a dominated key: the refusal comes first.
+        r = Restriction.full(random_game(random.Random(9), 3))
+        for pool in (False, True):
+            indep = NeverBestResponse(BeliefMode.MIXED_INDEPENDENT, pool)
+            rel = Intersection((StrictMixed(pool), indep))
+            with pytest.raises(UnsupportedConfiguration):
+                dominated_set(rel, r)
+            assert r.game.memo[(StrictMixed(pool), r)]
+            for ask in (dominated_set, lambda rel, r: is_dominated(rel, r, 0, 0)):
+                with pytest.raises(UnsupportedConfiguration):
+                    ask(indep, r)
+
 
 class TestRelationNames:
     @pytest.mark.parametrize(
@@ -711,6 +725,12 @@ class TestRelationNames:
     def test_unknown_rejected(self):
         with pytest.raises(StructuralError):
             parse_relation("weak-pure")
+
+    def test_repeated_part_rejected(self):
+        assert parse_relation("nbr,global-nbr").name == "nbr,global-nbr"
+        for name in ("strict-pure,strict-pure", "nbr,inherent, nbr"):
+            with pytest.raises(StructuralError, match="named twice"):
+                parse_relation(name, CORR)
 
 
 class TestMixedSurgery:

@@ -28,7 +28,7 @@ from domelim.errors import (
 from domelim.game import BeliefMode, Game, Restriction
 from domelim.gamefile import parse_game, write_game
 from domelim.generate import random_game
-from domelim.lp import max_min_advantage
+from domelim.lp import best_response_feasible, max_min_advantage
 from domelim.reduction import (
     DEFAULT_BUDGET,
     FullSpeed,
@@ -48,6 +48,7 @@ from domelim.tracedoc import dump_trace, verify_trace_document
 from fixtures import reachable_restrictions
 from oracles import (
     all_outcomes_reference,
+    decide_reference,
     proof_shape_reference,
     reachable_steps_reference,
 )
@@ -249,6 +250,50 @@ class TestAllOutcomes:
             del g, search
             gc.collect()
             assert ref() is None
+
+    def test_memo_holds_only_base_decisions(self):
+        """An intersection filters its parts' memo entries and LP-mode nbr
+        reads strict-mixed's: neither stores an entry of its own.  Every
+        reachable dominated set still matches a per-strategy decision with
+        no memo: `decide_reference`, and the best-response LP itself for
+        LP-mode nbr."""
+
+        def dominated(rel, r, i, s):
+            if isinstance(rel, Intersection):
+                return all(dominated(p, r, i, s) for p in rel.parts)
+            if isinstance(rel, NeverBestResponse) and rel.mode is not PURE:
+                pool = range(r.game.sizes[i]) if rel.global_pool else r.kept[i]
+                return best_response_feasible(r, i, s, rel.mode, pool) is None
+            return decide_reference(rel, r, i, s) is not None
+
+        base = [StrictPure(), StrictPure(global_pool=True), Inherent()] + [
+            NeverBestResponse(PURE, pool) for pool in (False, True)
+        ]
+        rng = random.Random(12)
+        filtered = 0
+        for k in range(10):
+            g = random_game(rng, 3 if k % 5 == 4 else 2)
+            modes = [BeliefMode.CORRELATED] + [BeliefMode.MIXED_INDEPENDENT] * (g.n == 2)
+            rels = [Intersection(pair) for pair in combinations(base, 2)] + [
+                NeverBestResponse(mode, pool) for mode in modes for pool in (False, True)
+            ]
+            for rel in rels:
+                game = Game(g.labels, g.payoffs)
+                search = all_outcomes(rel, game)
+                assert search == all_outcomes_reference(rel, Game(g.labels, g.payoffs))
+                for r in reachable_restrictions(rel, game):
+                    keys = dominated_set(rel, r)
+                    assert keys == tuple(
+                        key for key in r.strategies() if dominated(rel, r, *key)
+                    ), (rel, r.kept)
+                    filtered += isinstance(rel, Intersection) and any(
+                        len(dominated_set(p, r)) > len(keys) for p in rel.parts
+                    )
+                assert game.memo
+                for base_rel, _ in game.memo:
+                    assert not isinstance(base_rel, Intersection), rel
+                    assert getattr(base_rel, "mode", PURE) is PURE, rel
+        assert filtered > 0
 
     def test_walk_solves_no_mixture(self, g_pd, monkeypatch):
         """Every strategy the walk removes from the prisoner's dilemma is

@@ -27,6 +27,9 @@ from domelim.tracedoc import (
 
 from fixtures import G_BELIEF, G_MIX, G_PD
 
+PURE = BeliefMode.PURE
+CORR = BeliefMode.CORRELATED
+
 
 def roundtrip(trace, game):
     doc = json.loads(dump_trace(trace))
@@ -209,6 +212,51 @@ MALFORMED_CERTIFICATES = {
 }
 
 
+def _append(*path, source):
+    def mutate(doc):
+        _at(doc, path).append(copy.deepcopy(_at(doc, source)))
+        return doc
+
+    return mutate
+
+
+def _repeat_first_part(doc):
+    """The intersection once more with its first part, certified again."""
+    doc["relation"] += "," + doc["relation"].split(",")[0]
+    for step in doc["steps"]:
+        for entry in step["removed"]:
+            parts = entry["certificate"]["parts"]
+            parts.append(copy.deepcopy(parts[0]))
+    return doc
+
+
+EVIDENCE = ENTRY + ("certificate", "evidence")
+
+# Prisoner's-dilemma traces, each changed into a document that replays
+# every removal correctly but is not what the writer writes.
+NON_CANONICAL = {
+    "removal listed twice": (
+        StrictPure(), FullSpeed(), _append("steps", 0, "removed", source=ENTRY)
+    ),
+    "single step removing two": (
+        StrictPure(), FullSpeed(), _set("steps", 0, "policy", value="single-lex")
+    ),
+    "belief mode on strict-pure": (
+        StrictPure(), FullSpeed(), _set("belief_mode", value="correlated")
+    ),
+    "no belief mode on nbr": (NeverBestResponse(PURE), FullSpeed(), _drop("belief_mode")),
+    "LP-mode evidence as text": (
+        NeverBestResponse(CORR), SingleLex(), _set(*EVIDENCE, value="x")
+    ),
+    "LP-mode evidence as pure evidence": (
+        NeverBestResponse(CORR), SingleLex(), _set(*EVIDENCE, value=[])
+    ),
+    "repeated intersection part": (
+        Intersection((StrictPure(), Inherent())), SingleLex(), _repeat_first_part
+    ),
+}
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
     def test_document_ends_in_a_domain_error(self, mutate):
@@ -227,6 +275,17 @@ class TestMalformedDocuments:
         doc["steps"][0]["policy"] = "nonsense"
         with pytest.raises(StructuralError):
             verify_trace_document(doc, G_PD)
+
+    @pytest.mark.parametrize(
+        "rel, policy, mutate", NON_CANONICAL.values(), ids=NON_CANONICAL.keys()
+    )
+    def test_non_canonical_document_rejected(self, rel, policy, mutate):
+        written = dump_trace(normal_form(rel, G_PD, policy))
+        doc = json.loads(written)
+        verify_trace_document(doc, G_PD)
+        with pytest.raises((StructuralError, InvalidCertificate)):
+            verify_trace_document(mutate(doc), G_PD)
+        assert dump_trace(normal_form(rel, G_PD, policy)) == written
 
     @pytest.mark.parametrize(
         "doc", MALFORMED_CERTIFICATES.values(), ids=MALFORMED_CERTIFICATES.keys()
