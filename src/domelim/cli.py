@@ -166,20 +166,23 @@ def _cmd_orders(args) -> int:
 
 
 def _random_sub_restriction(rng: random.Random, r: Restriction) -> Restriction:
+    """A random cut of `r`.  Built unchecked (`Restriction._child`): each
+    player keeps an increasing, nonempty subset of a valid kept set."""
     kept = []
     for ks in r.kept:
         chosen = [s for s in ks if rng.random() < 0.5]
         if not chosen:
             chosen = [ks[rng.randrange(len(ks))]]
         kept.append(tuple(chosen))
-    return Restriction(r.game, tuple(kept))
+    return Restriction._child(r.game, tuple(kept))
 
 
 def _check_one_game(args, rel: Relation, g: Game, rng: random.Random) -> Optional[str]:
     """First violation found on this game, as a printable witness."""
     if args.property == "monotonic":
+        full = Restriction.full(g)
         for _ in range(CHECK_SAMPLES):
-            r = _random_sub_restriction(rng, Restriction.full(g))
+            r = _random_sub_restriction(rng, full)
             r2 = _random_sub_restriction(rng, r)
             assert restriction_leq(r2, r)
             witness = check_monotonic_pair(rel, r, r2)
@@ -249,15 +252,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "orders":
-            return _cmd_orders(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "ars":
-            return _cmd_ars(args)
-        raise StructuralError(f"unknown command {args.command!r}")
+        run = {"reduce": _cmd_reduce, "orders": _cmd_orders, "check": _cmd_check, "ars": _cmd_ars}
+        return run[args.command](args)  # the parser admits no other command
     except StructuralError as exc:  # game file parse errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -56,8 +56,8 @@ Under correlated beliefs, and independent ones on two players (where an
 independent belief is a distribution over the one opponent's strategies),
 `s` is a never best response against a pool exactly when a mixture of the
 pool less `s` beats it: the two LPs are duals (Pearce 1984, Lemma 3).  So
-LP-mode NBR, with no decision of its own, refuses independent beliefs on
-three or more players and reads the `StrictMixed` entry of its pool flag.
+LP-mode NBR refuses independent beliefs on three or more players, else
+decides as, and reads the memo entry of, `StrictMixed` of its pool flag.
 """
 
 from __future__ import annotations
@@ -164,8 +164,10 @@ class NeverBestResponse:
         return self.mode
 
     def dominated(self, r: Restriction, i: int) -> Iterable[int]:
-        # Pure beliefs only (LP modes read StrictMixed): the strategies beaten at every joint.
-        return _candidates(r, i, _pool(self, r, i))[2]
+        if self.mode is BeliefMode.PURE:  # the strategies beaten at every joint
+            return _candidates(r, i, _pool(self, r, i))[2]
+        self._refuse_independent(r)  # LP duality: see the module docstring
+        return StrictMixed(self.global_pool).dominated(r, i)
 
     def _refuse_independent(self, r: Restriction) -> None:
         if self.mode is BeliefMode.MIXED_INDEPENDENT and r.n > 2:

@@ -31,16 +31,16 @@ child and raises BudgetExceeded there.  Nothing is truncated silently.
 
 The three checkers read one condition on a pair R' inside R (Apt 2010):
 dom(R) & R' <= dom(R'), so every strategy dominated in R and kept in R'
-is still dominated in R'.  `_unheld` finds the first strategy that breaks
-it.  A step is hereditary when its two ends meet the condition, and a
-relation is monotonic when every pair does.  The weak-confluence proof
-shape of a step is the condition plus R_full <= R', where R_full, R less
-dom(R), is the full-speed reduct.  Then the residue R' less R_full is
-exactly R' & dom(R), and the condition says that R' is R_full or reaches
-it in one step that removes the residue.  When every step has that
-shape, any two steps from R rejoin at R_full: the order graph is weakly
-confluent and, being finite and acyclic, has one outcome by Newman's
-lemma (Newman 1942).
+is still dominated in R'.  `_unheld` reads it from dom(R), deciding R'
+only when R' keeps one of its keys.  A step is hereditary when its two
+ends meet the condition, and a relation is monotonic when every pair does.
+The weak-confluence proof shape of a step is the condition plus R_full <=
+R', where R_full, R less dom(R), is the full-speed reduct.  Then the
+residue R' less R_full is exactly R' & dom(R), and the condition says
+that R' is R_full or reaches it in one step that removes the residue.
+When every step has that shape, any two steps from R rejoin at R_full:
+the order graph is weakly confluent and, being finite and acyclic, has
+one outcome by Newman's lemma (Newman 1942).
 """
 
 from __future__ import annotations
@@ -229,9 +229,10 @@ def reachable_steps(
 
 
 def _unheld(rel: Relation, r: Restriction, r2: Restriction) -> Optional[tuple[int, int]]:
-    """First strategy of r2, in canonical order, dominated in r but not in r2."""
-    for i, s in r2.strategies():
-        if is_dominated(rel, r, i, s) and not is_dominated(rel, r2, i, s):
+    """First key of dom(r), in canonical order, that r2 keeps and does not
+    dominate.  r2 is decided only when it keeps some key of dom(r)."""
+    for i, s in dominated_set(rel, r):
+        if r2.contains(i, s) and not is_dominated(rel, r2, i, s):
             return (i, s)
     return None
 

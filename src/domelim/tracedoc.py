@@ -52,6 +52,14 @@ def _field(doc, key: str, kind: type):
     return value
 
 
+def _only(doc, *keys: str):
+    """`doc`, which must hold no field outside `keys` if it is an object."""
+    for key in doc if isinstance(doc, dict) else ():
+        if key not in keys:
+            raise StructuralError(f"unknown field {key!r}")
+    return doc
+
+
 def _belief_mode(value) -> BeliefMode:
     try:
         return BeliefMode(value)
@@ -200,25 +208,28 @@ def dump_trace(trace: Trace) -> str:
 def verify_trace_document(doc: dict, g: Game) -> None:
     """Replay a trace document against a game; raises on any defect.
 
-    A `belief_mode` is given exactly for a relation that has one.  Every
-    step names an order policy and removes something, no strategy twice
-    and one under `single-*`.  The replayed outcome must be irreducible.
+    No object holds a field the writer does not write, a certificate is
+    what the writer writes for it, and a `belief_mode` is given exactly
+    for a relation that has one.  Every step names an order policy and
+    removes something, no strategy twice and one under `single-*`.  The
+    replayed outcome must be irreducible.
     """
+    _only(doc, "relation", "belief_mode", "initial", "steps", "outcome")
     name = _field(doc, "relation", str)
     rel = parse_relation(name, _belief_mode(doc.get("belief_mode", BeliefMode.PURE.value)))
     if ("belief_mode" in doc) != (rel.belief_mode is not None):
         raise StructuralError(f"belief_mode does not fit relation {name!r}")
-    labels = _field(_field(doc, "initial", dict), "labels", list)
+    labels = _field(_only(_field(doc, "initial", dict), "labels"), "labels", list)
     if labels != [list(names) for names in g.labels]:
         raise InvalidCertificate("trace labels do not match the game")
     r = Restriction.full(g)
     for step in _field(doc, "steps", list):
-        policy = _field(step, "policy", str)
+        policy = _field(_only(step, "removed", "policy"), "policy", str)
         if policy not in POLICY_NAMES.values():
             raise StructuralError(f"unknown order policy {policy!r}")
         removed = []
         for entry in _field(step, "removed", list):
-            player = _field(entry, "player", int)
+            player = _field(_only(entry, "player", "strategy", "certificate"), "player", int)
             if not 1 <= player <= g.n:
                 raise StructuralError(f"player {player} out of range")
             i = player - 1
@@ -226,7 +237,10 @@ def verify_trace_document(doc: dict, g: Game) -> None:
             s = _index(g, i, label)
             if (i, s) in removed:
                 raise InvalidCertificate(f"a step removes strategy {label!r} twice")
-            cert = certificate_from_json(g, i, _field(entry, "certificate", dict))
+            cert_json = _field(entry, "certificate", dict)
+            cert = certificate_from_json(g, i, cert_json)
+            if certificate_to_json(g, i, cert) != cert_json:
+                raise StructuralError(f"certificate for strategy {label!r} is not canonical")
             if not verify_certificate(rel, r, i, s, cert):
                 raise InvalidCertificate(
                     f"certificate for player {player} strategy {label!r} "
@@ -239,7 +253,7 @@ def verify_trace_document(doc: dict, g: Game) -> None:
             raise InvalidCertificate(f"a {policy} step removes {len(removed)} strategies")
         r = r.remove(removed)
     kept = [[_label(g, i, s) for s in ks] for i, ks in enumerate(r.kept)]
-    if kept != _field(_field(doc, "outcome", dict), "kept", list):
+    if kept != _field(_only(_field(doc, "outcome", dict), "kept"), "kept", list):
         raise InvalidCertificate("trace outcome does not match the replayed steps")
     if dominated_set(rel, r):
         raise InvalidCertificate("trace outcome is not irreducible: steps are missing")

@@ -18,7 +18,9 @@ same certificates.
 `proof_shape_reference` is the engine's former proof-shape checker,
 which compared R' with the full-speed reduct and tested the residue on
 its own: `check_proof_shape`, now hereditarity plus R_full <= R', must
-give its answers.
+give its answers.  `unheld_reference` is the step checkers' former loop,
+which asked R and R' about every strategy of R'; `_unheld`, which reads
+dom(R), must find the same first key.
 `payoff`, `joints` and `full_joint` read single payoffs straight
 from a game's flat tensor, validating every index, `expected_payoff`
 averages them under a belief, and `check_feasible` substitutes a
@@ -569,6 +571,14 @@ def reachable_steps_reference(rel: Relation, g: Game, budget: int = DEFAULT_BUDG
             if step.after not in seen and len(seen) < budget:
                 seen.add(step.after)
                 stack.append(step.after)
+
+
+def unheld_reference(rel: Relation, r: Restriction, r2: Restriction):
+    """First strategy of r2, in canonical order, dominated in r but not in r2."""
+    for i, s in r2.strategies():
+        if is_dominated(rel, r, i, s) and not is_dominated(rel, r2, i, s):
+            return (i, s)
+    return None
 
 
 def proof_shape_reference(rel: Relation, step: ReductionStep) -> bool:

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import random
 
 import pytest
 
@@ -9,7 +10,9 @@ from domelim import cli, reduction
 from domelim.cli import main
 from domelim.dominance import StrictPure
 from domelim.errors import AssumptionViolated
+from domelim.game import Restriction, restriction_leq
 from domelim.gamefile import write_game
+from domelim.generate import random_game
 from domelim.tracedoc import verify_trace_document
 
 from fixtures import G_BELIEF, G_MIX, G_PD
@@ -251,6 +254,43 @@ class TestCheck:
             ]
         )
         assert code == 2
+
+
+# `check --random 20 --seed 6 --property monotonic`: stdout and exit code
+# per relation.  They pin the sampler's draw order and the first witness.
+SEED_6_VIOLATION = (
+    "monotonicity violation: player 2 strategy 's1' dominated in R but not in R' "
+    "for R=((0,), (0, 1), (2,)) R'=((0,), (0,), (2,))\n"
+)
+SEED_6_MONOTONIC = {
+    "strict-mixed": (4, SEED_6_VIOLATION),
+    "nbr": (4, SEED_6_VIOLATION),
+    "inherent": (4, SEED_6_VIOLATION),
+    "global-strict-mixed": (0, "monotonic: no violation found\n"),
+}
+
+
+class TestMonotonicSampler:
+    def test_draws_equal_checked_restrictions_inside_their_parents(self):
+        rng = random.Random(17)
+        games = [random_game(rng, 3 if k % 3 == 0 else 2) for k in range(10)]
+        for k in range(1000):
+            g = games[k % len(games)]
+            parent = Restriction.full(g)
+            if k % 2:
+                parent = cli._random_sub_restriction(rng, parent)
+            r = cli._random_sub_restriction(rng, parent)
+            assert r == Restriction(g, r.kept)
+            assert all(type(ks) is tuple for ks in r.kept)
+            assert restriction_leq(r, parent)
+
+    @pytest.mark.parametrize("relation", SEED_6_MONOTONIC)
+    def test_seeded_output_pinned(self, relation, capsys):
+        code = main(
+            ["check", "--random", "20", "--seed", "6", "--property", "monotonic",
+             "--relation", relation]
+        )
+        assert (code, capsys.readouterr().out) == SEED_6_MONOTONIC[relation]
 
 
 class TestArs:

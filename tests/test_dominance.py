@@ -561,6 +561,35 @@ class TestNeverBestResponseFold:
                         assert certify(rel, r, i, s) == NeverBest(mode, global_pool)
         assert dominated > 0
 
+    def test_direct_decision_in_lp_modes(self, g_belief):
+        """Asked directly, LP-mode nbr decides as strict-mixed of its pool,
+        not as under pure beliefs: on G_BELIEF the uniform belief over L
+        and R makes M a best response, though no pure belief does."""
+        r = Restriction.full(g_belief)
+        assert list(NeverBestResponse(PURE).dominated(r, 0)) == [1]
+        for mode in (CORR, BeliefMode.MIXED_INDEPENDENT):
+            for pool in (False, True):
+                rel = NeverBestResponse(mode, pool)
+                assert list(rel.dominated(r, 0)) == []
+                assert dominated_set(rel, r) == ()
+        dominated = 0
+        for r in _random_restrictions(44, 30):
+            for pool in (False, True):
+                for mode in (CORR, BeliefMode.MIXED_INDEPENDENT) if r.n == 2 else (CORR,):
+                    rel = NeverBestResponse(mode, pool)
+                    for i in range(r.n):
+                        direct = list(rel.dominated(r, i))
+                        assert direct == list(StrictMixed(pool).dominated(r, i))
+                        assert direct == [s for j, s in dominated_set(rel, r) if j == i]
+                        dominated += len(direct)
+        assert dominated > 0
+
+    def test_direct_decision_refuses_independent_beliefs_on_three_players(self):
+        r = Restriction.full(random_game(random.Random(9), 3))
+        for pool in (False, True):
+            with pytest.raises(UnsupportedConfiguration):
+                list(NeverBestResponse(BeliefMode.MIXED_INDEPENDENT, pool).dominated(r, 0))
+
 
 class TestStrictMixedLp:
     """A strategy that a pure rival beats is strict-mixed dominated without

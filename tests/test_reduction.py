@@ -35,6 +35,7 @@ from domelim.reduction import (
     ReductionStep,
     SingleLex,
     SingleRandom,
+    _unheld,
     _walk,
     all_outcomes,
     check_hereditary_step,
@@ -51,6 +52,7 @@ from oracles import (
     decide_reference,
     proof_shape_reference,
     reachable_steps_reference,
+    unheld_reference,
 )
 
 PURE = BeliefMode.PURE
@@ -509,6 +511,77 @@ class TestOneHereditarityPredicate:
                     false_shapes += not shape
                     true_shapes += shape
         assert witnesses > 0 and false_shapes > 0 and true_shapes > 0
+
+
+class TestUnheldReadsDom:
+    """`_unheld` reads the condition from dom(R) and asks R' only about
+    the keys of dom(R) that R' keeps: it finds the former loop's witness,
+    and decides R' only when one of those keys lies in it."""
+
+    @staticmethod
+    def _cases(seed, count):
+        rng = random.Random(seed)
+        for k in range(count):
+            g = random_game(rng, 3 if k % 4 == 0 else 2)
+            rels = simple_relations(g.n) + [
+                Intersection((StrictPure(), Inherent())),
+                Intersection((StrictMixed(), NeverBestResponse(PURE, global_pool=True))),
+            ]
+            yield rng, g, rels
+
+    @staticmethod
+    def _nested_pair(rng, g):
+        """A random restriction R of g and a random R' inside it."""
+        r = Restriction(
+            g, tuple(tuple(s for s in range(k) if rng.random() < 0.7) or (0,) for k in g.sizes)
+        )
+        kept = tuple(tuple(s for s in ks if rng.random() < 0.5) or ks[:1] for ks in r.kept)
+        return r, Restriction(g, kept)
+
+    def test_equals_the_former_loop_on_every_reachable_step(self):
+        """Every relation here is hereditary, so both find no witness; at
+        some steps R' keeps a key of dom(R) and is asked about it."""
+        kept_dominated = steps = 0
+        for _, g, rels in self._cases(91, 8):
+            for rel in rels:
+                for step in reachable_steps(rel, g):
+                    witness = _unheld(rel, step.before, step.after)
+                    assert witness == unheld_reference(rel, step.before, step.after)
+                    kept_dominated += any(
+                        step.after.contains(i, s) for i, s in dominated_set(rel, step.before)
+                    )
+                    steps += 1
+        assert steps > kept_dominated > 0
+
+    def test_equals_the_former_loop_on_random_nested_pairs(self):
+        witnesses = 0
+        for rng, g, rels in self._cases(92, 12):
+            for rel in rels:
+                for _ in range(20):
+                    r, r2 = self._nested_pair(rng, g)
+                    witness = check_monotonic_pair(rel, r, r2)
+                    assert witness == unheld_reference(rel, r, r2)
+                    witnesses += witness is not None
+        assert witnesses > 0
+
+    def test_restriction_outside_dom_is_not_decided(self):
+        """When R' keeps no key of dom(R), the memo holds no entry for R'
+        after the check; when it keeps one, R' is decided."""
+        skipped = decided = 0
+        for rng, g, rels in self._cases(93, 12):
+            for rel in rels:
+                for _ in range(20):
+                    game = Game(g.labels, g.payoffs)
+                    r, r2 = self._nested_pair(rng, game)
+                    dom = dominated_set(rel, r)
+                    if r2 == r or not dom:
+                        continue
+                    check_monotonic_pair(rel, r, r2)
+                    held = any(r2.contains(i, s) for i, s in dom)
+                    assert any(key[1] == r2 for key in game.memo) == held, (rel, r.kept)
+                    skipped += not held
+                    decided += held
+        assert skipped > 0 and decided > 0
 
 
 class TestNoCertificateOutsideATrace:

@@ -230,7 +230,8 @@ def _repeat_first_part(doc):
     return doc
 
 
-EVIDENCE = ENTRY + ("certificate", "evidence")
+CERTIFICATE = ENTRY + ("certificate",)
+EVIDENCE = CERTIFICATE + ("evidence",)
 
 # Prisoner's-dilemma traces, each changed into a document that replays
 # every removal correctly but is not what the writer writes.
@@ -254,7 +255,35 @@ NON_CANONICAL = {
     "repeated intersection part": (
         Intersection((StrictPure(), Inherent())), SingleLex(), _repeat_first_part
     ),
+    "zero weight in a mixture": (
+        StrictMixed(), SingleLex(), _set(*CERTIFICATE, "weights", "C", value="0")
+    ),
 }
+
+# One unknown field per level of the document: every object the writer
+# writes, each certificate type and each kind of evidence entry.
+UNKNOWN_FIELD_AT = {
+    "document": (StrictPure(), FullSpeed(), ()),
+    "initial": (StrictPure(), FullSpeed(), ("initial",)),
+    "step": (StrictPure(), FullSpeed(), ("steps", 0)),
+    "removal": (StrictPure(), FullSpeed(), ENTRY),
+    "outcome": (StrictPure(), FullSpeed(), ("outcome",)),
+    "pure-dominator": (StrictPure(), FullSpeed(), CERTIFICATE),
+    "mixed-dominator": (StrictMixed(), SingleLex(), CERTIFICATE),
+    "pure never-best-response": (NeverBestResponse(PURE), SingleLex(), CERTIFICATE),
+    "LP never-best-response": (NeverBestResponse(CORR), SingleLex(), CERTIFICATE),
+    "inherent": (Inherent(), SingleLex(), CERTIFICATE),
+    "intersection": (Intersection((StrictPure(), Inherent())), SingleLex(), CERTIFICATE),
+    "intersection part": (
+        Intersection((StrictPure(), Inherent())), SingleLex(), CERTIFICATE + ("parts", 1)
+    ),
+    "never-best-response evidence": (NeverBestResponse(PURE), SingleLex(), EVIDENCE + (0,)),
+    "inherent evidence": (Inherent(), SingleLex(), EVIDENCE + (0,)),
+}
+NON_CANONICAL.update(
+    (f"unknown field in {level}", (rel, policy, _set(*path, "note", value="x")))
+    for level, (rel, policy, path) in UNKNOWN_FIELD_AT.items()
+)
 
 
 class TestMalformedDocuments:
