@@ -30,10 +30,10 @@ dominator on each subset of joints in odometer order, the mixture the
 max-min LP finds, and an intersection's certificate part by part.  Only a
 trace asks for them, through the module-level `certify`.
 
-Masks find, rows check.  Outside the max-min LP, decisions and
-certificates read no payoff, only the game's `beats` table, where B[t][s]
-is the bitmask of opponent joints at which t pays player i more than s,
-and R's opponent mask m for player i (see `game`).  A strategy of R_i that
+Masks find, rows check.  Outside the LPs, decisions and certificates
+read no payoff, only the game's `beats` table, where B[t][s] is the
+bitmask of opponent joints at which t pays player i more than s, and R's
+opponent mask m for player i (see `game`).  A strategy of R_i that
 meets some column maximum over the pool is a best response to that joint
 (Pearce 1984), so it is dominated under none of the relations: no pure or
 mixed pool strategy beats it there, a pure belief makes it a best
@@ -46,11 +46,14 @@ it: `_pure_dominator` (the first pool t with B[t][s] & m equal to m), the
 first pool t holding each bit of m (pure NBR), and `_weak_dominators`
 (per nonempty submask S of m, the first t in R_i with S & B[t][s] nonzero
 and S & B[s][t] zero: better somewhere in S, worse nowhere).
-`StrictMixed` runs the max-min LP to decide only a strategy that no pure
-pool strategy beats: one that a pure rival beats is dominated, since the
-rival is a mixture.  Only the LP and the verifiers read payoff rows
-(`Restriction.payoff_rows`), so a verifier checks a certificate by
-substitution, and a wrong mask fails it instead of agreeing with itself.
+`StrictMixed` runs an LP to decide only a strategy that no pure pool
+strategy beats: one that a pure rival beats is dominated, since the rival
+is a mixture.  That decision is the slack-start `lp.mixture_beats`, which
+reads only whether a dominating mixture exists; `certify` solves the
+max-min LP (`lp.max_min_advantage`) for the mixture itself.  Only the LPs
+and the verifiers read payoff rows (`Restriction.payoff_rows`), so a
+verifier checks a certificate by substitution, and a wrong mask fails it
+instead of agreeing with itself.
 
 Under correlated beliefs, and independent ones on two players (where an
 independent belief is a distribution over the one opponent's strategies),
@@ -73,7 +76,7 @@ from .game import (
     MixedStrategy,
     Restriction,
 )
-from .lp import max_min_advantage
+from .lp import max_min_advantage, mixture_beats
 
 INHERENT_JOINT_CAP = 16
 
@@ -132,8 +135,9 @@ class StrictMixed:
         m, beats, candidates = _candidates(r, i, pool)
         for s in candidates:
             # A pure rival that beats s is a mixture that does: no LP needed.
-            if _pure_dominator(beats, m, pool, s) is not None or (
-                max_min_advantage(r, i, s, _rivals(self, r, i, s))[0] > 0
+            # Else the slack-start LP decides; certify solves for the mixture.
+            if _pure_dominator(beats, m, pool, s) is not None or mixture_beats(
+                r, i, s, _rivals(self, r, i, s)
             ):
                 yield s
 
@@ -193,7 +197,7 @@ class NeverBestResponse:
             return False
         if self.mode is not BeliefMode.PURE:
             # By LP duality, a mixture of the pool less s that beats s: the
-            # LP finds it from the rows, and its margin is checked on them.
+            # max-min LP finds it on the rows, and its margin is checked there.
             self._refuse_independent(r)
             rivals = _rivals(self, r, i, s)
             if cert.better or not rivals:

@@ -16,17 +16,19 @@ keep that tableau as the reference).  The solution is read back as
 A program's coefficients are exact `int`s or `Fraction`s; `solve` clears
 each row's denominators once, and an `int` row has none to clear.
 
-On top of the solver sit the game-theoretic oracles, which both read one
+On top of the solver sit the game-theoretic oracles, which all read one
 advantage matrix, p_i(t, k) - p_i(s, k) for pool strategies t and
 opponent joints k, built from the payoff kernel's exact values.
-`max_min_advantage`, the best guaranteed margin of a pool mixture over a
-fixed pure strategy, is the engine's one LP decision: strict-mixed
-dominance, and by LP duality never-best-response under correlated (or
-two-player independent) beliefs, both read its sign.  It decides only a
-strategy that no pure pool strategy beats, and it finds the mixture of
-each strict-mixed certificate, which is built only when a trace writes
-the removal (see `dominance.certify`), and the mixture against which an
-LP-mode never-best-response certificate is verified.
+`mixture_beats` is the engine's one LP decision: strict-mixed dominance,
+and by LP duality never-best-response under correlated (or two-player
+independent) beliefs, both read it.  It decides only a strategy that no
+pure pool strategy beats, from a slack-start program (one `<=` row per
+pool strategy, no phase 1).  `max_min_advantage`, the best guaranteed
+margin of a pool mixture over a fixed pure strategy, and the mixture
+that attains it, is solved only where that mixture is written or
+checked: in each strict-mixed certificate, which is built only when a
+trace writes the removal (see `dominance.certify`), and in verifying an
+LP-mode never-best-response certificate.
 `best_response_feasible` solves the dual feasibility LP for a belief
 against which a strategy is a best response; no decision calls it.  It is
 the witness oracle, and the independent side of the duality cross-checks.
@@ -267,14 +269,40 @@ def _advantages(
     return [[x - m for x, m in zip(row, mine)] for row in rows]
 
 
+def mixture_beats(r: Restriction, i: int, s: int, pool: Sequence[int]) -> bool:
+    """Whether some mixture of `pool` beats `s` at every opponent joint of R.
+
+    A slack start (Dantzig 1951): with A the advantage matrix and
+    c = 1 - min A, solve max sum(y) subject to (A + c) y <= 1 and y >= 0,
+    one row per pool strategy and one column per opponent joint.  The
+    origin is feasible, so `solve` runs no phase 1.  Every entry of A + c
+    is at least 1, so the program is bounded, and by the minimax theorem
+    its optimum is 1 / (V + c) for V the max-min margin of
+    `max_min_advantage`.  So V > 0 exactly when optimum * c < 1, which
+    also holds when c <= 0: then every pool strategy beats s everywhere.
+    """
+    pool = list(pool)
+    if not pool:
+        raise StructuralError("empty dominator pool")
+    adv = _advantages(r, i, s, pool)
+    c = 1 - min(min(row) for row in adv)
+    nv = len(adv[0])  # one variable per opponent joint
+    rows = tuple((tuple(x + c for x in row), LEQ, 1) for row in adv)
+    out = solve(LinearProgram((1,) * nv, rows, (True,) * nv))
+    assert out.status == OPTIMAL and out.value is not None  # feasible at 0, bounded
+    return out.value * c < 1
+
+
 def max_min_advantage(
     r: Restriction, i: int, s: int, pool: Sequence[int]
 ) -> tuple[Fraction, MixedStrategy]:
-    """Best guaranteed payoff margin of a pool mixture over `s`.
+    """Best guaranteed payoff margin of a pool mixture over `s`, and the
+    mixture that attains it.
 
     Maximizes, over mixtures m of `pool`, the minimum over opponent joints
     in R of p_i(m, s_-i) - p_i(s, s_-i).  The margin is positive exactly
     when `s` is strictly dominated by some mixture of `pool` within R.
+    Every row needs an artificial, so decisions call `mixture_beats`.
     """
     pool = list(pool)
     if not pool:

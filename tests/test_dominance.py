@@ -593,26 +593,30 @@ class TestNeverBestResponseFold:
 
 class TestStrictMixedLp:
     """A strategy that a pure rival beats is strict-mixed dominated without
-    an LP; its mixture is solved only when it is certified."""
+    an LP.  One that no pure rival beats is decided by the slack-start LP
+    (`mixture_beats`); its mixture is solved by the max-min LP only when it
+    is certified."""
 
     @staticmethod
     def _counted(monkeypatch):
-        calls = []
+        calls = {"mixture_beats": [], "max_min_advantage": []}
+        for name, calls_of in calls.items():
+            original = getattr(lp, name)
 
-        def counting(*args):
-            calls.append(args)
-            return max_min_advantage(*args)
+            def counting(*args, _calls=calls_of, _original=original):
+                _calls.append(args)
+                return _original(*args)
 
-        monkeypatch.setattr(dominance, "max_min_advantage", counting)
+            monkeypatch.setattr(dominance, name, counting)
         return calls
 
     def test_certificate_is_solved_when_certified(self, g_pd, monkeypatch):
         r = Restriction.full(Game(g_pd.labels, g_pd.payoffs))
         calls = self._counted(monkeypatch)
         assert dominated_set(StrictMixed(), r) == ((0, 0), (1, 0))
-        assert calls == []
+        assert calls == {"mixture_beats": [], "max_min_advantage": []}
         cert = certify(StrictMixed(), r, 0, 0)
-        assert calls == [(r, 0, 0, [1])]
+        assert calls == {"mixture_beats": [], "max_min_advantage": [(r, 0, 0, [1])]}
         eps, mixed = max_min_advantage(r, 0, 0, [1])
         assert cert == MixedDominator(mixed, eps)
         assert StrictMixed().verify(r, 0, 0, cert)
@@ -621,10 +625,13 @@ class TestStrictMixedLp:
         r = Restriction.full(Game(g_mix.labels, g_mix.payoffs))
         calls = self._counted(monkeypatch)
         assert dominated_set(StrictMixed(), r) == ((0, 1),)
-        assert calls == [(r, 0, 1, [0, 2])]
+        assert calls == {"mixture_beats": [(r, 0, 1, [0, 2])], "max_min_advantage": []}
         eps, mixed = max_min_advantage(r, 0, 1, [0, 2])
         assert certify(StrictMixed(), r, 0, 1) == MixedDominator(mixed, eps)
-        assert len(calls) == 2
+        assert calls == {
+            "mixture_beats": [(r, 0, 1, [0, 2])],
+            "max_min_advantage": [(r, 0, 1, [0, 2])],
+        }
 
 
 class TestCertify:

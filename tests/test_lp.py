@@ -8,7 +8,7 @@ import pytest
 
 from domelim import lp as lp_module
 from domelim.errors import StructuralError, UnsupportedConfiguration
-from domelim.game import BeliefMode, CorrelatedBelief, Restriction
+from domelim.game import BeliefMode, CorrelatedBelief, Game, Restriction
 from domelim.generate import random_game
 from domelim.lp import (
     EQ,
@@ -20,6 +20,7 @@ from domelim.lp import (
     LinearProgram,
     best_response_feasible,
     max_min_advantage,
+    mixture_beats,
     solve,
 )
 
@@ -249,6 +250,116 @@ class TestMaxMinAdvantage:
             a, b = strategies[1], strategies[2]
             eps, _ = max_min_advantage(r, i, s, [a, b])
             assert eps == maxmin_two_support(r, i, s, a, b)
+
+
+def _sub_restriction(rng, g):
+    kept = []
+    for size in g.sizes:
+        chosen = tuple(s for s in range(size) if rng.random() < 0.7)
+        kept.append(chosen or (rng.randrange(size),))
+    return Restriction(g, tuple(kept))
+
+
+def _fractional_game(rng, players):
+    g = random_game(rng, players)
+    payoffs = tuple(x / rng.choice([1, 2, 3, 4]) for x in g.payoffs)
+    return Game(g.labels, payoffs)
+
+
+class TestMixtureBeats:
+    """The slack-start decision agrees with the sign of the max-min margin,
+    and its program is the all-`<=` one that needs no phase 1."""
+
+    @staticmethod
+    def _cases(seed, make_game):
+        rng = random.Random(seed)
+        for k in range(24):
+            g = make_game(rng, 3 if k % 4 == 0 else 2)
+            for r in (Restriction.full(g), _sub_restriction(rng, g)):
+                for i, s in r.strategies():
+                    for pool in (r.kept[i], range(g.sizes[i])):  # local, global
+                        rivals = [t for t in pool if t != s]
+                        if rivals:
+                            yield r, i, s, rivals
+
+    def _assert_agrees(self, cases):
+        seen = Counter()
+        for r, i, s, rivals in cases:
+            beats = mixture_beats(r, i, s, rivals)
+            assert beats == (max_min_advantage(r, i, s, rivals)[0] > 0)
+            seen[beats] += 1
+            seen["single rival"] += len(rivals) == 1
+        assert seen[True] and seen[False] and seen["single rival"], seen
+
+    def test_agrees_with_max_min_sign_on_seeded_games(self):
+        self._assert_agrees(self._cases(71, random_game))
+
+    def test_agrees_with_max_min_sign_on_fractional_payoffs(self):
+        self._assert_agrees(self._cases(72, _fractional_game))
+
+    def test_fractional_shift(self):
+        g = Game.from_table(
+            [["U", "M", "D"], ["L", "R"]],
+            [(F(5, 2), 0), (0, 0), (1, 0), (1, 0), (0, 0), (F(5, 2), 0)],
+        )
+        r = Restriction.full(g)
+        assert mixture_beats(r, 0, 1, [0, 2])
+        assert max_min_advantage(r, 0, 1, [0, 2])[0] == F(1, 4)
+        shift = 1 - min(min(row) for row in lp_module._advantages(r, 0, 0, [1, 2]))
+        assert shift == F(7, 2)
+        assert not mixture_beats(r, 0, 0, [1, 2])
+        assert not mixture_beats(r, 0, 1, [0])  # a single rival that loses at R
+
+    def test_fixture_games(self, r_mix, r_belief):
+        assert mixture_beats(r_mix, 0, 1, [0, 2])
+        assert not mixture_beats(r_belief, 0, 1, [0, 2])
+
+    def test_pool_that_beats_everywhere(self, r_pd):
+        # Defect pays at least 1 more than cooperate at every joint: c = 0,
+        # with a single rival.
+        assert min(min(row) for row in lp_module._advantages(r_pd, 0, 0, [1])) >= 1
+        assert mixture_beats(r_pd, 0, 0, [1])
+        g = Game.from_table([["A", "B", "C"], ["X", "Y"]],
+                            [(0, 0), (0, 0), (5, 0), (4, 0), (7, 0), (9, 0)])
+        r = Restriction.full(g)
+        assert min(min(row) for row in lp_module._advantages(r, 0, 0, [1, 2])) > 1
+        assert mixture_beats(r, 0, 0, [1, 2])
+        assert max_min_advantage(r, 0, 0, [1, 2])[0] > 0
+
+    def test_program_needs_no_phase_one_and_matches_the_reference(self, monkeypatch):
+        programs = []
+        real_solve = lp_module.solve
+
+        def recording(prog):
+            programs.append(prog)
+            return real_solve(prog)
+
+        monkeypatch.setattr(lp_module, "solve", recording)
+        cases = [
+            *list(self._cases(73, random_game))[::7],
+            *list(self._cases(74, _fractional_game))[::7],
+        ]
+        for r, i, s, rivals in cases:
+            mixture_beats(r, i, s, rivals)
+        monkeypatch.undo()
+        assert len(programs) == len(cases)
+        for prog, (r, i, s, rivals) in zip(programs, cases):
+            assert len(prog.constraints) == len(rivals)
+            assert len(prog.objective) == len(r.opponent_joints(i))
+            assert all(cmp == LEQ and rhs == 1 for _, cmp, rhs in prog.constraints)
+            ref, _ = fraction_simplex(prog)
+            out = solve(prog)
+            assert ref.status == out.status == OPTIMAL
+            assert out.value == ref.value
+
+    def test_rejects_what_max_min_advantage_rejects(self, r_pd):
+        r = Restriction(r_pd.game, ((1,), (0, 1)))
+        for args in ((r, 0, 0, [1]), (r_pd, 0, 0, [])):
+            with pytest.raises(StructuralError) as expected:
+                max_min_advantage(*args)
+            with pytest.raises(StructuralError) as got:
+                mixture_beats(*args)
+            assert str(got.value) == str(expected.value)
 
 
 class TestBestResponseFeasible:

@@ -28,7 +28,7 @@ from domelim.errors import (
 from domelim.game import BeliefMode, Game, Restriction
 from domelim.gamefile import parse_game, write_game
 from domelim.generate import random_game
-from domelim.lp import best_response_feasible, max_min_advantage
+from domelim.lp import best_response_feasible
 from domelim.reduction import (
     DEFAULT_BUDGET,
     FullSpeed,
@@ -299,15 +299,17 @@ class TestAllOutcomes:
 
     def test_walk_solves_no_mixture(self, g_pd, monkeypatch):
         """Every strategy the walk removes from the prisoner's dilemma is
-        beaten by a pure rival: no max-min LP runs, under strict-mixed or
-        under correlated nbr, which reads the strict-mixed keys."""
+        beaten by a pure rival: no LP runs, neither the decision's nor the
+        max-min one, under strict-mixed or under correlated nbr, which reads
+        the strict-mixed keys."""
         calls = []
+        for name in ("mixture_beats", "max_min_advantage"):
 
-        def counting(*args):
-            calls.append(args)
-            return max_min_advantage(*args)
+            def counting(*args, _name=name, _original=getattr(dominance, name)):
+                calls.append((_name, args))
+                return _original(*args)
 
-        monkeypatch.setattr(dominance, "max_min_advantage", counting)
+            monkeypatch.setattr(dominance, name, counting)
         for rel in (
             StrictMixed(),
             StrictMixed(global_pool=True),
