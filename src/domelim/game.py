@@ -21,9 +21,10 @@ stands for the joint at flat offset o, and the rows, the table and the
 mask all take their offsets from one helper, `_opponent_offsets`, so they
 cannot disagree on joint order.  A `Game` builds the flat payoffs and the
 masks on first use (not at construction, so generating a corpus stays
-cheap).  A `Game` compares by content and hashes its content once, so
-restrictions of one game are cheap memo keys.  `Game.memo`, which dies with
-the game, holds only base decisions; intersections and LP-mode NBR read them.
+cheap).  A `Game` hashes its content once and a `Restriction` hashes its
+game once, so restrictions are cheap memo keys.  `Game.restrictions` holds
+the game's one `Restriction` per bitmask, for the order walk; `Game.memo`
+holds only base decisions.  Both tables die with the game.
 
 The kernel's tables hold a whole payoff as its `int` and any other as its
 `Fraction`.  An `int` compares, hashes and adds exactly like the equal
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, pairwise, product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import StructuralError
@@ -98,9 +99,9 @@ class Game:
             raise StructuralError("payoffs must be Fractions")
 
     def __hash__(self) -> int:
-        # Content hash, computed on first use.  Restrictions in memo keys
-        # and outcome sets still hash their game; rehashing its Fractions
-        # takes 35 to 40 us per 3x3x3 game on one Xeon vCPU.
+        # Content hash, computed on first use.  A restriction hashes its game
+        # once; rehashing the Fractions on every memo read would take 35 to
+        # 40 us per 3x3x3 game on one Xeon vCPU.
         try:
             return self._hash
         except AttributeError:
@@ -157,6 +158,11 @@ class Game:
                             table[s][t] |= bit
             out.append(tuple(map(tuple, table)))
         return tuple(out)
+
+    @cached_property
+    def restrictions(self) -> "_Restrictions":
+        """Restriction bitmask -> its one `Restriction`, built on first ask."""
+        return _Restrictions(self)
 
     @cached_property
     def memo(self) -> dict:
@@ -216,7 +222,15 @@ class Restriction:
 
     @classmethod
     def full(cls, game: Game) -> "Restriction":
-        return cls._child(game, tuple(tuple(range(s)) for s in game.sizes))
+        return game.restrictions[game.restrictions.full]
+
+    def __hash__(self) -> int:
+        # getattr: a caught AttributeError would tax the many restrictions hashed once.
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.game, self.kept))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def n(self) -> int:
@@ -229,6 +243,8 @@ class Restriction:
                 yield (i, s)
 
     def contains(self, i: int, s: int) -> bool:
+        if not 0 <= i < len(self.kept):
+            raise StructuralError(f"player index {i} out of range")
         return s in self.kept[i]
 
     def remove(self, removed: Iterable[tuple[int, int]]) -> "Restriction":
@@ -279,6 +295,23 @@ class Restriction:
             return [index[tuple(opp)] for opp in opps]
         except (KeyError, TypeError):
             raise StructuralError("opponent joint outside the restriction")
+
+
+class _Restrictions(dict):
+    """A game's restrictions by bitmask: bit `base[i] + s` is strategy s of
+    player i, so bit order is canonical key order.  An entry is built
+    unchecked on first ask; a mask must keep a strategy of every player."""
+
+    def __init__(self, game: Game):
+        self.game = game
+        self.base = (0, *accumulate(game.sizes))
+        self.full = (1 << self.base[-1]) - 1
+
+    def __missing__(self, mask: int) -> Restriction:
+        spans = pairwise(self.base)
+        kept = tuple(tuple(t - b for t in range(b, e) if mask >> t & 1) for b, e in spans)
+        r = self[mask] = Restriction._child(self.game, kept)
+        return r
 
 
 def _opponent_offsets(g: Game, kept: Sequence[Sequence[int]], i: int) -> list[int]:

@@ -15,19 +15,21 @@ irreducible restriction is reachable in it.  A step records only the
 asks `dominance.certify` for the evidence of each.
 
 One lazy depth-first walk, `_walk`, serves `all_outcomes` (the irreducible
-restrictions) and `reachable_steps` (every step).
-It builds a `Restriction` only for a child whose kept tuple it has not
-seen, and every step to that child reuses it.  It builds that child
+restrictions) and `reachable_steps` (every step).  It steps on bitmasks:
+a child is its parent's mask less a nonempty submask of the dominated
+keys' mask, and `Game.restrictions` gives the game's one `Restriction` of
+it, so all walks over a game share restrictions.  The table builds a child
 unchecked (`Restriction._child`): the child is its valid parent less some
 dominated strategies, and `_dominated` has checked that every player
 keeps an undominated one.  That check, the paper's standing assumption,
 belongs to reducing: the walk and `normal_form` make it, and
-`dominance.dominated_set` does not.  Children come in bitmask order over
-the dominated keys.  A budget caps the restrictions
-admitted; past it, unseen children are dropped.  `all_outcomes` then
-reports `complete=False` with the partial outcome set, and
-`reachable_steps` yields the steps before the first one to a dropped
-child and raises BudgetExceeded there.  Nothing is truncated silently.
+`dominance.dominated_set` does not.  Submasks come in increasing order:
+a key's bit rises with its canonical position, so that is bitmask order
+over the keys.  A budget caps the restrictions a walk admits; past it,
+unseen children are dropped.  `all_outcomes` then reports `complete=False`
+with the partial outcome set, and `reachable_steps` yields the steps before
+the first one to a dropped child and raises BudgetExceeded there.  Nothing
+is truncated silently.
 
 The three checkers read one condition on a pair R' inside R (Apt 2010):
 dom(R) & R' <= dom(R'), so every strategy dominated in R and kept in R'
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Optional, Union
 
 from .dominance import Relation, dominated_set, is_dominated
@@ -141,30 +142,6 @@ class OutcomeSearch:
     explored: int
 
 
-def _child_kepts(
-    r: Restriction, keys: tuple[tuple[int, int], ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Kept tuples of `r.remove(subset)` for every nonempty subset of the
-    canonically ordered `keys`, in bitmask order (low bit = first key).
-
-    Canonical keys group each player's bits together, lowest player
-    lowest, so bitmask order is an odometer over per-player choices with
-    player 0 varying fastest.
-    """
-    options = []
-    for i, ks in enumerate(r.kept):
-        # sub[m] is ks less player i's keys at the set bits of m.
-        sub = [ks]
-        for j, t in keys:
-            if j == i:
-                sub += [tuple(s for s in kept if s != t) for kept in sub]
-        options.append(sub)
-    combos = product(*reversed(options))
-    next(combos)  # the empty subset: r itself
-    for combo in combos:
-        yield combo[::-1]
-
-
 def _walk(
     rel: Relation, g: Game, budget: int
 ) -> Iterator[tuple[Restriction, tuple, list[Optional[Restriction]]]]:
@@ -175,20 +152,25 @@ def _walk(
     budget dropped it.  A child is admitted while fewer than `budget`
     restrictions are.
     """
-    start = Restriction.full(g)
-    seen = {start.kept: start}
-    stack = [start]
+    table = g.restrictions
+    base = table.base
+    seen = {table.full}
+    stack = [(table[table.full], table.full)]
     while stack:
-        r = stack.pop()
+        r, rm = stack.pop()
         dom = _dominated(rel, r)
+        dm = 0
+        for i, s in dom:
+            dm |= 1 << (base[i] + s)
         children: list[Optional[Restriction]] = []
-        if dom:
-            for kept in _child_kepts(r, dom):
-                child = seen.get(kept)
-                if child is None and len(seen) < budget:
-                    child = seen[kept] = Restriction._child(g, kept)
-                    stack.append(child)
-                children.append(child)
+        sub = dm & -dm
+        while sub:
+            mask = rm ^ sub
+            if mask not in seen and len(seen) < budget:
+                seen.add(mask)
+                stack.append((table[mask], mask))
+            children.append(table[mask] if mask in seen else None)
+            sub = (sub - dm) & dm
         yield r, dom, children
 
 

@@ -9,6 +9,9 @@ the reference whose pivot path the integer tableau in `lp.solve` must follow.
 `all_outcomes_reference` is the engine's former order search, which built a
 `Restriction` for every subset mask; the search must admit, in the same
 order, the restrictions it admits under every budget.
+`walk_reference` is the engine's former order walk, which stepped on kept
+tuples that `child_kepts_reference` enumerated per player: the bitmask
+walk must yield the same children, in the same order, under every budget.
 `reachable_steps_reference` is the engine's former step walk, which went on
 past its budget without saying so; it marks the steps whose target it left
 out.  `decide_reference` is the engine's former per-strategy decision of
@@ -550,6 +553,48 @@ def all_outcomes_reference(
                 seen.add(child)
                 stack.append(child)
     return OutcomeSearch(frozenset(outcomes), complete, len(seen))
+
+
+def child_kepts_reference(r: Restriction, keys):
+    """Kept tuples of `r.remove(subset)` for every nonempty subset of the
+    canonically ordered `keys`, in bitmask order (low bit = first key).
+
+    Canonical keys group each player's bits together, lowest player
+    lowest, so bitmask order is an odometer over per-player choices with
+    player 0 varying fastest.
+    """
+    options = []
+    for i, ks in enumerate(r.kept):
+        # sub[m] is ks less player i's keys at the set bits of m.
+        sub = [ks]
+        for j, t in keys:
+            if j == i:
+                sub += [tuple(s for s in kept if s != t) for kept in sub]
+        options.append(sub)
+    combos = product(*reversed(options))
+    next(combos)  # the empty subset: r itself
+    for combo in combos:
+        yield combo[::-1]
+
+
+def walk_reference(rel: Relation, g: Game, budget: int):
+    """Depth-first walk of the order graph from the full game, keyed by kept
+    tuples.  Yields per admitted restriction its kept tuple, its dominated
+    keys, and its children's kept tuples in bitmask order, None where the
+    budget dropped one."""
+    start = Restriction(g, tuple(tuple(range(k)) for k in g.sizes))
+    seen = {start.kept}
+    stack = [start]
+    while stack:
+        r = stack.pop()
+        dom = dominated_set(rel, r)
+        children = []
+        for kept in child_kepts_reference(r, dom) if dom else ():
+            if kept not in seen and len(seen) < budget:
+                seen.add(kept)
+                stack.append(Restriction(g, kept))
+            children.append(kept if kept in seen else None)
+        yield r.kept, dom, children
 
 
 def reachable_steps_reference(rel: Relation, g: Game, budget: int = DEFAULT_BUDGET):

@@ -76,6 +76,25 @@ class TestStrictlyDominatesPure:
                 assert engine == (oracle is not None)
 
 
+class TestPlayerIndexChecked:
+    """A player outside 0..n-1 is a StructuralError in every per-strategy
+    test, not a bare IndexError nor an answer about player n-1."""
+
+    @pytest.mark.parametrize("which", ["-1", "n"])
+    def test_bad_player_rejected(self, r_pd, which):
+        i = -1 if which == "-1" else r_pd.n
+        calls = [
+            lambda: is_dominated(StrictPure(), r_pd, i, 0),
+            lambda: is_dominated(Intersection((StrictPure(), Inherent())), r_pd, i, 0),
+            lambda: strictly_dominates_pure(r_pd, i, 1, 0),
+            lambda: weakly_dominates_pure(r_pd, i, 1, 0, [(0,)]),
+            lambda: is_inherently_dominated(r_pd, i, 0),
+        ]
+        for call in calls:
+            with pytest.raises(StructuralError, match=f"player index {i} out of range"):
+                call()
+
+
 class TestDominatedSet:
     def test_strict_pure_pd(self, r_pd):
         assert set(dominated_set(StrictPure(), r_pd)) == {(0, 0), (1, 0)}

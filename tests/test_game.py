@@ -1,6 +1,8 @@
 """Game model: payoffs, restrictions, mixed strategies, beliefs."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -194,6 +196,38 @@ class TestExpectedPayoff:
             expected_payoff(g_pd, 0, 0, CorrelatedBelief.of(1, {(0,): F(1)}))
 
 
+class TestRestrictionTable:
+    """`Game.restrictions`: one `Restriction` per bitmask, per game."""
+
+    def test_one_object_per_mask(self):
+        g = random_game(random.Random(3), 3)
+        table = g.restrictions
+        assert table.base == (0, 3, 6, 9) and table.full == (1 << 9) - 1
+        mask = 0b110_001_011  # player 0 keeps s0 and s1, 1 keeps s0, 2 keeps s1 and s2
+        r = table[mask]
+        assert table[mask] is r and r.kept == ((0, 1), (0,), (1, 2))
+        assert r == Restriction(g, r.kept) and hash(r) == hash(Restriction(g, r.kept))
+        assert Restriction.full(g) is Restriction.full(g) is table[table.full]
+        assert g.restrictions is table and len(table) == 2
+
+    def test_equal_games_keep_separate_tables(self, g_pd):
+        g1 = Game(g_pd.labels, g_pd.payoffs)
+        g2 = Game(g_pd.labels, g_pd.payoffs)
+        assert g1 == g2 and g1.restrictions is not g2.restrictions
+        r1, r2 = Restriction.full(g1), Restriction.full(g2)
+        assert r1 == r2 and r1 is not r2
+        assert r1.game is g1 and r2.game is g2
+
+    def test_table_dies_with_its_game(self):
+        g = random_game(random.Random(4), 2)
+        dominance.dominated_set(dominance.StrictPure(), Restriction.full(g))
+        entry = weakref.ref(Restriction.full(g))
+        game = weakref.ref(g)
+        del g
+        gc.collect()
+        assert entry() is None and game() is None
+
+
 class TestRestriction:
     def test_leq_subset(self, g_pd, r_pd):
         sub = Restriction(g_pd, ((1,), (1,)))
@@ -216,6 +250,16 @@ class TestRestriction:
     def test_empty_component_rejected(self, g_pd):
         with pytest.raises(StructuralError):
             Restriction(g_pd, ((), (0, 1)))
+
+    @pytest.mark.parametrize("players", [2, 3])
+    @pytest.mark.parametrize("which", ["-1", "n"])
+    def test_contains_checks_the_player(self, players, which):
+        r = Restriction.full(random_game(random.Random(players), players))
+        i = -1 if which == "-1" else players
+        with pytest.raises(StructuralError, match=f"player index {i} out of range"):
+            r.contains(i, 0)
+        with pytest.raises(StructuralError, match=f"player index {i} out of range"):
+            r.remove([(i, 0)])
 
     def test_remove_unknown_rejected(self, g_pd):
         sub = Restriction(g_pd, ((1,), (0, 1)))

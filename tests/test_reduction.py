@@ -53,6 +53,7 @@ from oracles import (
     proof_shape_reference,
     reachable_steps_reference,
     unheld_reference,
+    walk_reference,
 )
 
 PURE = BeliefMode.PURE
@@ -332,24 +333,41 @@ class TestAllOutcomes:
                 assert normal_form(StrictPure(), g, policy).outcome in search.outcomes
 
 
+def lp_free_relations():
+    """The five LP-free relations and their ten pairwise intersections."""
+    pure = [
+        StrictPure(), StrictPure(global_pool=True), NeverBestResponse(PURE),
+        NeverBestResponse(PURE, global_pool=True), Inherent(),
+    ]
+    return pure + [Intersection(pair) for pair in combinations(pure, 2)]
+
+
+def lp_relations(players):
+    """The LP-backed relations decidable on `players`: six on two players."""
+    modes = [BeliefMode.CORRELATED] + [BeliefMode.MIXED_INDEPENDENT] * (players == 2)
+    return [StrictMixed(), StrictMixed(global_pool=True)] + [
+        NeverBestResponse(m, global_pool=p) for m in modes for p in (False, True)
+    ]
+
+
+def table_mask(r):
+    """The bitmask of `r` in its game's restriction table."""
+    base = r.game.restrictions.base
+    return sum(1 << (base[i] + s) for i, s in r.strategies())
+
+
 class TestWalkChildren:
     """`_walk` builds each child, and `Restriction.full` the root, without
     validating it, so each must be the restriction the checked constructor
-    builds from its kept tuple."""
+    builds from its kept tuple.  Both come from the game's table: the root
+    is its full mask's entry, and each child its own mask's."""
 
     def test_children_equal_checked_restrictions(self):
-        pure = [
-            StrictPure(), StrictPure(global_pool=True), NeverBestResponse(PURE),
-            NeverBestResponse(PURE, global_pool=True), Inherent(),
-        ]
-        rels = pure + [Intersection(pair) for pair in combinations(pure, 2)] + [
-            StrictMixed(), StrictMixed(global_pool=True),
-            NeverBestResponse(BeliefMode.CORRELATED, global_pool=True),
-        ]
         rng = random.Random(71)
         games = [random_game(rng, 3 if k % 4 == 0 else 2) for k in range(16)]
         children = 0
         for g in games + search_games()[::3]:
+            rels = lp_free_relations() + lp_relations(g.n)
             built = [Restriction.full(g)] + [
                 child
                 for rel in rels
@@ -360,9 +378,71 @@ class TestWalkChildren:
                 checked = Restriction(g, child.kept)
                 assert child == checked and hash(child) == hash(checked)
                 assert child.game is g
+                assert g.restrictions[table_mask(child)] is child
                 child.__post_init__()
             children += len(built) - 1
+            table = g.restrictions
+            assert built[0] is table[table.full] and table_mask(built[0]) == table.full
+            for rel in rels:
+                assert next(_walk(rel, g, DEFAULT_BUDGET))[0] is built[0]
         assert children > 0
+
+
+class TestWalkOrder:
+    """The bitmask walk yields the former kept-tuple walk's children in the
+    same order, with None at the same positions under every budget."""
+
+    def test_matches_reference_under_every_budget(self):
+        rng = random.Random(19)
+        games = [random_game(rng, 3 if k % 3 == 0 else 2) for k in range(6)]
+        dropped = 0
+        for g in games + search_games()[::2]:
+            for rel in lp_free_relations() + lp_relations(g.n):
+                explored = all_outcomes(rel, g).explored
+                for budget in range(1, explored + 1):
+                    got = [
+                        (r.kept, dom, [c if c is None else c.kept for c in kids])
+                        for r, dom, kids in _walk(rel, g, budget)
+                    ]
+                    assert got == list(walk_reference(rel, g, budget)), (rel, budget)
+                    dropped += sum(None in kids for _, _, kids in got)
+        assert dropped > 0
+
+
+class TestRestrictionTable:
+    """Each game keeps one `Restriction` per mask, which the walk, the memo
+    and every later walk share, and which dies with the game."""
+
+    def test_walk_memo_found_by_checked_restriction(self):
+        for g in search_games()[::3]:
+            for rel in lp_free_relations()[:5] + [StrictMixed()]:
+                walked = [r for r, _, _ in _walk(rel, g, DEFAULT_BUDGET)]
+                entries = len(g.memo)
+                for r in walked:
+                    checked = Restriction(g, r.kept)
+                    assert checked is not r and hash(checked) == hash(r)
+                    assert g.memo[(rel, checked)] is g.memo[(rel, r)]
+                    assert dominated_set(rel, checked) is g.memo[(rel, r)]
+                # normal_form and the monotonic sampler build checked
+                # restrictions: they read the walk's entries, store none.
+                for policy in (FullSpeed(), SingleLex(), SingleRandom(5)):
+                    normal_form(rel, g, policy)
+                for r2 in walked:
+                    check_monotonic_pair(rel, Restriction(g, walked[0].kept), Restriction(g, r2.kept))
+                assert len(g.memo) == entries
+
+    def test_each_restriction_hashes_its_game_once(self, monkeypatch):
+        g = search_games()[2]  # nbr's graph holds two restrictions strict-pure's lacks
+        original = Game.__hash__
+        calls = []
+        monkeypatch.setattr(Game, "__hash__", lambda self: calls.append(1) or original(self))
+        first = all_outcomes(StrictPure(), g)
+        built = len(calls)
+        assert built == len(g.restrictions) == first.explored > 1
+        assert all_outcomes(StrictPure(), g) == first and len(calls) == built
+        for rel in lp_free_relations():
+            all_outcomes(rel, g)
+        assert len(calls) == len(g.restrictions) > built
 
 
 class TestReachableRestrictions:
