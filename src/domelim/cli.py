@@ -166,15 +166,13 @@ def _cmd_orders(args) -> int:
 
 
 def _random_sub_restriction(rng: random.Random, r: Restriction) -> Restriction:
-    """A random cut of `r`.  Built unchecked (`Restriction._child`): each
-    player keeps an increasing, nonempty subset of a valid kept set."""
-    kept = []
-    for ks in r.kept:
-        chosen = [s for s in ks if rng.random() < 0.5]
-        if not chosen:
-            chosen = [ks[rng.randrange(len(ks))]]
-        kept.append(tuple(chosen))
-    return Restriction._child(r.game, tuple(kept))
+    """A random cut of `r`: each player keeps each strategy with chance
+    1/2, or one drawn uniformly when that keeps none."""
+    keys = []
+    for i, ks in enumerate(r.kept):
+        keys += [(i, s) for s in ks if rng.random() < 0.5] or [(i, ks[rng.randrange(len(ks))])]
+    table = r.game.restrictions
+    return table[table.mask_of(keys)]
 
 
 def _check_one_game(args, rel: Relation, g: Game, rng: random.Random) -> Optional[str]:

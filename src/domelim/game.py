@@ -21,10 +21,10 @@ stands for the joint at flat offset o, and the rows, the table and the
 mask all take their offsets from one helper, `_opponent_offsets`, so they
 cannot disagree on joint order.  A `Game` builds the flat payoffs and the
 masks on first use (not at construction, so generating a corpus stays
-cheap).  A `Game` hashes its content once and a `Restriction` hashes its
-game once, so restrictions are cheap memo keys.  `Game.restrictions` holds
-the game's one `Restriction` per bitmask, for the order walk; `Game.memo`
-holds only base decisions.  Both tables die with the game.
+cheap).  A `Game` hashes its content once.  `Game.restrictions` holds its
+one `Restriction` per kept set, by bitmask; only it knows the bit layout,
+and each entry hashes `(game, mask)` once, when built, so restrictions are
+cheap memo keys.  `Game.memo` holds only base decisions; both die with it.
 
 The kernel's tables hold a whole payoff as its `int` and any other as its
 `Fraction`.  An `int` compares, hashes and adds exactly like the equal
@@ -41,12 +41,12 @@ strategies, so no other belief type is needed where beliefs are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, pairwise, product
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import StructuralError
 
@@ -187,50 +187,40 @@ class Game:
         return cls(tuple(tuple(names) for names in labels), flat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Restriction:
     """Per-player nonempty subsets of the initial game's strategies.
 
     `kept` holds strictly increasing strategy indices per player; payoffs
-    are inherited from `game` unchanged.
+    are inherited from `game` unchanged.  `Restriction(game, kept)` checks
+    `kept`, then returns the game's one entry for it, at its `mask`.
     """
 
     game: Game
     kept: tuple[tuple[int, ...], ...]
+    mask: int = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.kept) != self.game.n:
+    def __new__(cls, game: Game, kept: Sequence[Sequence[int]]) -> "Restriction":
+        if len(kept) != game.n:
             raise StructuralError("one kept-set per player required")
-        for i, ks in enumerate(self.kept):
+        for i, ks in enumerate(kept):
             if not ks:
                 raise StructuralError(f"player {i} kept-set is empty")
+            if not all(isinstance(s, int) for s in ks):
+                raise StructuralError(f"player {i} kept-set holds a non-integer index")
             if any(ks[j] >= ks[j + 1] for j in range(len(ks) - 1)):
                 raise StructuralError(f"player {i} kept-set not strictly increasing")
-            if ks[0] < 0 or ks[-1] >= self.game.sizes[i]:
+            if ks[0] < 0 or ks[-1] >= game.sizes[i]:
                 raise StructuralError(f"player {i} kept-set out of range")
-
-    @classmethod
-    def _child(cls, game: Game, kept: tuple[tuple[int, ...], ...]) -> "Restriction":
-        """A restriction built without `__post_init__`'s checks.  Only for
-        `kept` that passes them by construction: the full ranges of `game`,
-        or a cut of a valid restriction of `game` that drops strategies
-        while every player keeps one."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "game", game)
-        object.__setattr__(r, "kept", kept)
-        return r
+        table = game.restrictions
+        return table[table.mask_of((i, s) for i, ks in enumerate(kept) for s in ks)]
 
     @classmethod
     def full(cls, game: Game) -> "Restriction":
         return game.restrictions[game.restrictions.full]
 
     def __hash__(self) -> int:
-        # getattr: a caught AttributeError would tax the many restrictions hashed once.
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.game, self.kept))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -238,24 +228,23 @@ class Restriction:
 
     def strategies(self) -> Iterator[tuple[int, int]]:
         """All (player, strategy) pairs in canonical order."""
-        for i, ks in enumerate(self.kept):
-            for s in ks:
-                yield (i, s)
+        return ((i, s) for i, ks in enumerate(self.kept) for s in ks)
 
     def contains(self, i: int, s: int) -> bool:
         if not 0 <= i < len(self.kept):
             raise StructuralError(f"player index {i} out of range")
-        return s in self.kept[i]
+        return isinstance(s, int) and s in self.kept[i]
 
     def remove(self, removed: Iterable[tuple[int, int]]) -> "Restriction":
-        gone: set[tuple[int, int]] = set(removed)
+        gone = set(removed)
         for i, s in gone:
             if not self.contains(i, s):
                 raise StructuralError(f"({i},{s}) not present in restriction")
-        new_kept = tuple(
-            tuple(s for s in ks if (i, s) not in gone) for i, ks in enumerate(self.kept)
-        )
-        return Restriction(self.game, new_kept)
+        table = self.game.restrictions
+        mask = self.mask & ~table.mask_of(gone)
+        if (i := table.starved(mask)) is not None:
+            raise StructuralError(f"player {i} kept-set is empty")
+        return table[mask]
 
     def opponent_joints(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Joint opponent strategies (players j != i, ascending), odometer order."""
@@ -299,19 +288,36 @@ class Restriction:
 
 class _Restrictions(dict):
     """A game's restrictions by bitmask: bit `base[i] + s` is strategy s of
-    player i, so bit order is canonical key order.  An entry is built
-    unchecked on first ask; a mask must keep a strategy of every player."""
+    player i, so bit order is canonical key order.  Only this class reads
+    that layout.  `__missing__` builds every `Restriction`, unchecked: a
+    mask asked for must keep a strategy of every player (see `starved`)."""
 
     def __init__(self, game: Game):
         self.game = game
         self.base = (0, *accumulate(game.sizes))
         self.full = (1 << self.base[-1]) - 1
+        self.spans = tuple((1 << e) - (1 << b) for b, e in pairwise(self.base))
 
     def __missing__(self, mask: int) -> Restriction:
         spans = pairwise(self.base)
         kept = tuple(tuple(t - b for t in range(b, e) if mask >> t & 1) for b, e in spans)
-        r = self[mask] = Restriction._child(self.game, kept)
+        r = self[mask] = object.__new__(Restriction)
+        vars(r).update(game=self.game, kept=kept, mask=mask, _hash=hash((self.game, mask)))
         return r
+
+    def mask_of(self, keys: Iterable[tuple[int, int]]) -> int:
+        """The mask of (player, strategy) keys of the game."""
+        mask = 0
+        for i, s in keys:
+            mask |= 1 << (self.base[i] + s)
+        return mask
+
+    def starved(self, mask: int) -> Optional[int]:
+        """The first player `mask` keeps no strategy of, or None."""
+        for i, span in enumerate(self.spans):
+            if not mask & span:
+                return i
+        return None
 
 
 def _opponent_offsets(g: Game, kept: Sequence[Sequence[int]], i: int) -> list[int]:
@@ -330,7 +336,7 @@ def restriction_leq(r1: Restriction, r2: Restriction) -> bool:
     """Componentwise subset test; both restrictions must share one game."""
     if r1.game is not r2.game and r1.game != r2.game:
         raise StructuralError("restrictions of different initial games")
-    return all(set(a) <= set(b) for a, b in zip(r1.kept, r2.kept))
+    return not r1.mask & ~r2.mask
 
 
 @dataclass(frozen=True)

@@ -15,21 +15,20 @@ irreducible restriction is reachable in it.  A step records only the
 asks `dominance.certify` for the evidence of each.
 
 One lazy depth-first walk, `_walk`, serves `all_outcomes` (the irreducible
-restrictions) and `reachable_steps` (every step).  It steps on bitmasks:
-a child is its parent's mask less a nonempty submask of the dominated
-keys' mask, and `Game.restrictions` gives the game's one `Restriction` of
-it, so all walks over a game share restrictions.  The table builds a child
-unchecked (`Restriction._child`): the child is its valid parent less some
-dominated strategies, and `_dominated` has checked that every player
-keeps an undominated one.  That check, the paper's standing assumption,
-belongs to reducing: the walk and `normal_form` make it, and
-`dominance.dominated_set` does not.  Submasks come in increasing order:
-a key's bit rises with its canonical position, so that is bitmask order
-over the keys.  A budget caps the restrictions a walk admits; past it,
-unseen children are dropped.  `all_outcomes` then reports `complete=False`
-with the partial outcome set, and `reachable_steps` yields the steps before
-the first one to a dropped child and raises BudgetExceeded there.  Nothing
-is truncated silently.
+restrictions) and `reachable_steps` (every step).  It steps on masks: a
+child is its parent's `mask` less a nonempty submask of the dominated
+keys' mask, and `Game.restrictions`, which alone knows the bit layout,
+gives the game's one `Restriction` of it, built unchecked.  `_dominated`
+has checked that every player keeps an undominated strategy.  That check,
+the paper's standing assumption, belongs to reducing: the walk and
+`normal_form` make it, and `dominance.dominated_set` does not.  Submasks
+come in increasing order: a key's bit rises with its canonical position,
+so that is bitmask order over the keys.  A budget, an integer of at least
+1, caps the restrictions a walk admits; past it, unseen children are
+dropped.  `all_outcomes` then reports `complete=False` with the partial
+outcome set, and `reachable_steps` yields the steps before the first one
+to a dropped child and raises BudgetExceeded there.  Nothing is truncated
+silently.
 
 The three checkers read one condition on a pair R' inside R (Apt 2010):
 dom(R) & R' <= dom(R'), so every strategy dominated in R and kept in R'
@@ -105,17 +104,16 @@ class Trace:
     outcome: Restriction
 
 
-def _dominated(rel: Relation, r: Restriction) -> tuple[tuple[int, int], ...]:
-    """rel's dominated keys of r.  Every player must keep an undominated
-    strategy; a violation raises AssumptionViolated and marks a defect,
-    since no restriction the order graph reaches trips it."""
+def _dominated(rel: Relation, r: Restriction) -> tuple[tuple[tuple[int, int], ...], int]:
+    """rel's dominated keys of r, and their mask.  Every player must keep
+    an undominated strategy; a violation raises AssumptionViolated and
+    marks a defect, since no restriction the order graph reaches trips it."""
     dom = dominated_set(rel, r)
-    left = [len(ks) for ks in r.kept]
-    for i, _ in dom:
-        left[i] -= 1
-        if not left[i]:
-            raise AssumptionViolated(f"player {i} has no {rel.name}-undominated strategy")
-    return dom
+    table = r.game.restrictions
+    dm = table.mask_of(dom)
+    if (i := table.starved(r.mask & ~dm)) is not None:
+        raise AssumptionViolated(f"player {i} has no {rel.name}-undominated strategy")
+    return dom, dm
 
 
 def normal_form(rel: Relation, g: Game, policy: OrderPolicy) -> Trace:
@@ -125,7 +123,7 @@ def normal_form(rel: Relation, g: Game, policy: OrderPolicy) -> Trace:
     rng = random.Random(policy.seed) if isinstance(policy, SingleRandom) else None
     r = Restriction.full(g)
     steps = []
-    while dom := _dominated(rel, r):
+    while dom := _dominated(rel, r)[0]:
         if isinstance(policy, SingleLex):
             dom = dom[:1]
         elif rng is not None:
@@ -152,23 +150,21 @@ def _walk(
     budget dropped it.  A child is admitted while fewer than `budget`
     restrictions are.
     """
+    if not isinstance(budget, int) or budget < 1:
+        raise StructuralError(f"budget must be an integer of at least 1, got {budget!r}")
     table = g.restrictions
-    base = table.base
     seen = {table.full}
-    stack = [(table[table.full], table.full)]
+    stack = [table[table.full]]
     while stack:
-        r, rm = stack.pop()
-        dom = _dominated(rel, r)
-        dm = 0
-        for i, s in dom:
-            dm |= 1 << (base[i] + s)
+        r = stack.pop()
+        dom, dm = _dominated(rel, r)
         children: list[Optional[Restriction]] = []
         sub = dm & -dm
         while sub:
-            mask = rm ^ sub
+            mask = r.mask ^ sub
             if mask not in seen and len(seen) < budget:
                 seen.add(mask)
-                stack.append((table[mask], mask))
+                stack.append(table[mask])
             children.append(table[mask] if mask in seen else None)
             sub = (sub - dm) & dm
         yield r, dom, children

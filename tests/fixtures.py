@@ -28,6 +28,13 @@ G_BELIEF = Game.from_table(
 # Smallest legal game: one strategy each.
 G_ONE = Game.from_table([["A"], ["X"]], [(0, 0)])
 
+# Order dependent under weak dominance: B weakly dominates T and L weakly
+# dominates R, and removing R first leaves T and B tied.
+G_WEAK = Game.from_table(
+    [["T", "B"], ["L", "R"]],
+    [(0, 0), (0, 0), (0, 1), (1, 0)],
+)
+
 
 def reachable_restrictions(rel, g: Game, budget: int = DEFAULT_BUDGET) -> set[Restriction]:
     """Every restriction reachable from the full game, itself included:

@@ -32,14 +32,23 @@ payoff kernel and simplex.  `persist_dominator`, with
 `renormalize_without`, `substitute` and `mixed_strictly_dominates`, is
 the persistence construction of acceptance criterion 4: a mixed dominator
 rebased onto the survivors of a step still dominates.
+`restriction_leq_reference` and `remove_reference` are the former
+kept-tuple subset test and cut, and `mask_reference` spells out the bit
+layout: the mask-level `restriction_leq`, `remove` and `Restriction.mask`
+must agree with them.  `WeakPure` is a relation that must fail, weak
+dominance, which is order dependent; `ordinal_games` enumerates every
+two-player game of a shape up to each player's weak orders, and
+`newman_sweep` checks the paper's chain on each order graph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from domelim.ars import FiniteArs, ars_is_weakly_confluent, ars_unique_nf
 from domelim.dominance import (
     INHERENT_JOINT_CAP,
     Inherent,
@@ -80,7 +89,14 @@ from domelim.lp import (
     best_response_feasible,
     max_min_advantage,
 )
-from domelim.reduction import DEFAULT_BUDGET, OutcomeSearch, ReductionStep
+from domelim.reduction import (
+    DEFAULT_BUDGET,
+    OutcomeSearch,
+    ReductionStep,
+    all_outcomes,
+    check_hereditary_step,
+    reachable_steps,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -640,3 +656,95 @@ def proof_shape_reference(rel: Relation, step: ReductionStep) -> bool:
         (i, s) for i, s in r_prime.strategies() if not r_full.contains(i, s)
     ]
     return all(is_dominated(rel, r_prime, i, s) for i, s in residue)
+
+
+def restriction_leq_reference(r1: Restriction, r2: Restriction) -> bool:
+    """The former componentwise subset test on kept tuples."""
+    if r1.game != r2.game:
+        raise StructuralError("restrictions of different initial games")
+    return all(set(a) <= set(b) for a, b in zip(r1.kept, r2.kept))
+
+
+def remove_reference(r: Restriction, removed) -> Restriction:
+    """The former `remove`: `r` less the `removed` keys, cut from the kept
+    tuples and rebuilt by the checked constructor."""
+    gone = set(removed)
+    for i, s in gone:
+        if not r.contains(i, s):
+            raise StructuralError(f"({i},{s}) not present in restriction")
+    kept = tuple(tuple(s for s in ks if (i, s) not in gone) for i, ks in enumerate(r.kept))
+    return Restriction(r.game, kept)
+
+
+def mask_reference(r: Restriction) -> int:
+    """The bitmask of `r`'s kept tuples: strategy s of player i is bit s
+    past the strategies of the players before i."""
+    return sum(1 << (sum(r.game.sizes[:i]) + s) for i, s in r.strategies())
+
+
+@dataclass(frozen=True)
+class WeakPure:
+    """Test-only weak dominance by a pure strategy of R_i: t is at least as
+    good as s at every opponent joint of R and better at one.  It is the
+    classic order-dependent relation (Gilboa, Kalai and Zemel 1990), decided
+    on the masks: t beats s somewhere in R and s beats t nowhere."""
+
+    belief_mode = None
+    name = "weak-pure"
+
+    def dominated(self, r: Restriction, i: int):
+        m, beats = r.opponent_mask(i), r.game.beats[i]
+        for s in r.kept[i]:
+            if any(beats[t][s] & m and not beats[s][t] & m for t in r.kept[i]):
+                yield s
+
+
+def dense_ranks(k: int) -> list[tuple[int, ...]]:
+    """Every weak order of k strategies as dense ranks: the values used are
+    0..m, 0 the worst."""
+    return [v for v in product(range(k), repeat=k) if set(v) == set(range(max(v) + 1))]
+
+
+def ordinal_games(rows: int, cols: int):
+    """Every two-player rows x cols game whose payoffs are dense ranks: at
+    each opponent strategy, each player's payoffs over their own strategies
+    are one of `dense_ranks`.  The LP-free decisions read only these weak
+    orders, so these games stand for every game of that shape."""
+    labels = ([f"r{k}" for k in range(rows)], [f"c{k}" for k in range(cols)])
+    for first in product(dense_ranks(rows), repeat=cols):
+        for second in product(dense_ranks(cols), repeat=rows):
+            table = [(first[c][r], second[r][c]) for r in range(rows) for c in range(cols)]
+            yield Game.from_table(labels, table)
+
+
+def newman_sweep(games, rels) -> dict:
+    """Per relation name, three sets of indices into `games`: the games it
+    is order dependent on, those with a non-hereditary reachable step, and
+    those that break the paper's chain on the order graph.  The chain: if
+    every step is hereditary there is one outcome, and there is one outcome
+    exactly when the graph's `FiniteArs` is weakly confluent, and exactly
+    when it has unique normal forms (Newman's lemma on a finite acyclic
+    system).  A graph the walk did not cover whole breaks it too."""
+    out = {rel.name: (set(), set(), set()) for rel in rels}
+    for k, g in enumerate(games):
+        for rel in rels:
+            dependent, unheld, broken = out[rel.name]
+            search = all_outcomes(rel, g)
+            index = {Restriction.full(g): 0}
+            arrows = set()
+            hereditary = True
+            for step in reachable_steps(rel, g):
+                hereditary = hereditary and check_hereditary_step(rel, step) is None
+                a = index.setdefault(step.before, len(index))
+                arrows.add((a, index.setdefault(step.after, len(index))))
+            ars = FiniteArs(len(index), frozenset(arrows))
+            one = len(search.outcomes) == 1
+            if not one:
+                dependent.add(k)
+            if not hereditary:
+                unheld.add(k)
+            whole = search.complete and len(index) == search.explored
+            chain = one == ars_is_weakly_confluent(ars)[0] == ars_unique_nf(ars)
+            if not (whole and chain) or (hereditary and not one):
+                broken.add(k)
+    return out

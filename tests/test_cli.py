@@ -15,7 +15,8 @@ from domelim.gamefile import write_game
 from domelim.generate import random_game
 from domelim.tracedoc import verify_trace_document
 
-from fixtures import G_BELIEF, G_MIX, G_PD
+from fixtures import G_BELIEF, G_MIX, G_PD, G_WEAK
+from oracles import WeakPure
 
 THREE_PLAYER = """\
 players 3
@@ -144,6 +145,33 @@ class TestOrders:
     def test_intersection_relation(self, pd_file, capsys):
         code = main(["orders", pd_file, "--relation", "strict-pure,inherent"])
         assert code == 0
+
+
+class TestOrderDependentRelation:
+    """`orders` and `check` on a relation that must fail: `cli._relation`
+    is patched to return the test-only weak dominance `WeakPure`."""
+
+    @pytest.fixture
+    def weak_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_relation", lambda args: WeakPure())
+        path = tmp_path / "g_weak.game"
+        path.write_text(write_game(G_WEAK))
+        return str(path)
+
+    def test_orders_prints_both_outcomes(self, weak_file, capsys):
+        assert main(["orders", weak_file, "--relation", "strict-pure"]) == 4
+        assert capsys.readouterr().out == (
+            "outcome 1:\nplayer 1: T B\nplayer 2: L\n"
+            "outcome 2:\nplayer 1: B\nplayer 2: L\n"
+        )
+
+    def test_check_hereditary_finds_the_step(self, weak_file, capsys):
+        code = main(["check", weak_file, "--property", "hereditary", "--relation", "strict-pure"])
+        assert code == 4
+        assert capsys.readouterr().out == (
+            "hereditarity violation at step ((0, 1), (0, 1)) -> ((0, 1), (0,)): "
+            "player 1 strategy 'T'\n"
+        )
 
 
 class TestCheck:
@@ -280,7 +308,7 @@ class TestMonotonicSampler:
             if k % 2:
                 parent = cli._random_sub_restriction(rng, parent)
             r = cli._random_sub_restriction(rng, parent)
-            assert r == Restriction(g, r.kept)
+            assert r is Restriction(g, r.kept)
             assert all(type(ks) is tuple for ks in r.kept)
             assert restriction_leq(r, parent)
 

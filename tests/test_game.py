@@ -251,6 +251,17 @@ class TestRestriction:
         with pytest.raises(StructuralError):
             Restriction(g_pd, ((), (0, 1)))
 
+    @pytest.mark.parametrize("kept", [[(0, 1), (0, 1)], ([0, 1], [0, 1])])
+    def test_list_kept_sets_give_the_table_entry(self, g_pd, kept):
+        r = Restriction(g_pd, kept)
+        assert r is Restriction.full(g_pd) and r.kept == ((0, 1), (0, 1))
+        assert dominance.dominated_set(dominance.StrictPure(), r) == ((0, 0), (1, 0))
+
+    @pytest.mark.parametrize("kept", [((0.0,), (0, 1)), ((0,), (0, "1")), ((0, 1), (None,))])
+    def test_non_integer_index_rejected(self, g_pd, kept):
+        with pytest.raises(StructuralError, match="kept-set holds a non-integer index"):
+            Restriction(g_pd, kept)
+
     @pytest.mark.parametrize("players", [2, 3])
     @pytest.mark.parametrize("which", ["-1", "n"])
     def test_contains_checks_the_player(self, players, which):
@@ -265,6 +276,11 @@ class TestRestriction:
         sub = Restriction(g_pd, ((1,), (0, 1)))
         with pytest.raises(StructuralError):
             sub.remove([(0, 0)])
+
+    def test_remove_rejects_a_non_integer_index(self, r_pd):
+        assert not r_pd.contains(0, 0.0)
+        with pytest.raises(StructuralError, match=r"\(0,0.0\) not present in restriction"):
+            r_pd.remove([(0, 0.0)])
 
 
 class TestOpponentJoints:

@@ -25,7 +25,7 @@ from domelim.errors import (
     StructuralError,
     UnsupportedConfiguration,
 )
-from domelim.game import BeliefMode, Game, Restriction
+from domelim.game import BeliefMode, Game, Restriction, restriction_leq
 from domelim.gamefile import parse_game, write_game
 from domelim.generate import random_game
 from domelim.lp import best_response_feasible
@@ -46,12 +46,18 @@ from domelim.reduction import (
 )
 from domelim.tracedoc import dump_trace, verify_trace_document
 
-from fixtures import reachable_restrictions
+from fixtures import G_WEAK, reachable_restrictions
 from oracles import (
+    WeakPure,
     all_outcomes_reference,
     decide_reference,
+    mask_reference,
+    newman_sweep,
+    ordinal_games,
     proof_shape_reference,
     reachable_steps_reference,
+    remove_reference,
+    restriction_leq_reference,
     unheld_reference,
     walk_reference,
 )
@@ -350,17 +356,11 @@ def lp_relations(players):
     ]
 
 
-def table_mask(r):
-    """The bitmask of `r` in its game's restriction table."""
-    base = r.game.restrictions.base
-    return sum(1 << (base[i] + s) for i, s in r.strategies())
-
-
 class TestWalkChildren:
-    """`_walk` builds each child, and `Restriction.full` the root, without
-    validating it, so each must be the restriction the checked constructor
-    builds from its kept tuple.  Both come from the game's table: the root
-    is its full mask's entry, and each child its own mask's."""
+    """`_walk` reads each child, and `Restriction.full` the root, from the
+    game's table, which builds entries unchecked, so each must be the very
+    restriction the checked constructor returns for its kept tuple: the
+    table's entry at its own mask, the root at the full mask."""
 
     def test_children_equal_checked_restrictions(self):
         rng = random.Random(71)
@@ -378,11 +378,11 @@ class TestWalkChildren:
                 checked = Restriction(g, child.kept)
                 assert child == checked and hash(child) == hash(checked)
                 assert child.game is g
-                assert g.restrictions[table_mask(child)] is child
-                child.__post_init__()
+                assert g.restrictions[child.mask] is child
+                assert checked is child
             children += len(built) - 1
             table = g.restrictions
-            assert built[0] is table[table.full] and table_mask(built[0]) == table.full
+            assert built[0] is table[table.full] and built[0].mask == table.full
             for rel in rels:
                 assert next(_walk(rel, g, DEFAULT_BUDGET))[0] is built[0]
         assert children > 0
@@ -420,11 +420,11 @@ class TestRestrictionTable:
                 entries = len(g.memo)
                 for r in walked:
                     checked = Restriction(g, r.kept)
-                    assert checked is not r and hash(checked) == hash(r)
+                    assert checked is r and hash(checked) == hash(r)
                     assert g.memo[(rel, checked)] is g.memo[(rel, r)]
                     assert dominated_set(rel, checked) is g.memo[(rel, r)]
-                # normal_form and the monotonic sampler build checked
-                # restrictions: they read the walk's entries, store none.
+                # normal_form and the checked constructor return the walk's
+                # table entries: they read its memo entries, store none.
                 for policy in (FullSpeed(), SingleLex(), SingleRandom(5)):
                     normal_form(rel, g, policy)
                 for r2 in walked:
@@ -443,6 +443,91 @@ class TestRestrictionTable:
         for rel in lp_free_relations():
             all_outcomes(rel, g)
         assert len(calls) == len(g.restrictions) > built
+
+
+def _outcome(f, *args):
+    """f's result, or its StructuralError's message."""
+    try:
+        return f(*args)
+    except StructuralError as exc:
+        return str(exc)
+
+
+class TestMaskGeometry:
+    """A restriction is its mask: each table entry of a walked game is the
+    restriction the checked constructor returns for its kept tuples, and
+    the bit-level `restriction_leq` and `remove` answer as the former
+    kept-tuple ones in `oracles` do, errors included."""
+
+    @staticmethod
+    def walked_games():
+        games = search_games() + [random_game(random.Random(k), 2) for k in range(4)]
+        for g in games:
+            all_outcomes(StrictPure(), g)
+        return games
+
+    def test_entries_are_their_masks(self):
+        entries = 0
+        for g in self.walked_games():
+            for mask, r in g.restrictions.items():
+                assert r.mask == mask == mask_reference(r)
+                assert Restriction(g, r.kept) is r and r.game is g
+                entries += 1
+        assert entries > 100
+
+    def test_leq_and_remove_match_the_references(self):
+        errors = []
+        for g in self.walked_games():
+            entries = list(g.restrictions.values())
+            for r1 in entries:
+                for r2 in entries:
+                    assert restriction_leq(r1, r2) == restriction_leq_reference(r1, r2)
+            keys = [(i, s) for i, size in enumerate(g.sizes) for s in range(size)]
+            for r in entries:
+                cuts = [[k] for k in keys] + list(combinations(keys, 2))
+                cuts += [list(r.strategies()), [(-1, 0)], [(g.n, 0)]]
+                for cut in cuts:
+                    got = _outcome(r.remove, cut)
+                    want = _outcome(remove_reference, r, cut)
+                    assert got == want and (type(got) is str or got is want), (r, cut)
+                    if type(got) is str:
+                        errors.append(got)
+        for error in ("not present in restriction", "kept-set is empty", "out of range"):
+            assert any(error in got for got in errors), error
+
+
+class TestBudgetArgument:
+    """A budget is an integer of at least 1 in the library, as on the
+    command line: no walk admits more restrictions than its budget."""
+
+    @pytest.mark.parametrize("budget", [0, -3, 2.5])
+    def test_rejected(self, g_one, budget):
+        message = f"budget must be an integer of at least 1, got {budget}"
+        with pytest.raises(StructuralError, match=message):
+            all_outcomes(StrictPure(), g_one, budget)
+        with pytest.raises(StructuralError, match=message):
+            list(reachable_steps(StrictPure(), g_one, budget))
+
+
+class TestOrderDependence:
+    """A relation that must fail.  Weak dominance (the test-only `WeakPure`)
+    is order dependent, and the walk, the step checker and the order
+    graph's `FiniteArs` must each show it, as Newman's chain says."""
+
+    def test_every_two_by_two_ordinal_game(self):
+        games = list(ordinal_games(2, 2))
+        assert len(games) == 81
+        base = lp_free_relations()[:5]
+        sweep = newman_sweep(games, [WeakPure()] + base)
+        dependent, unheld, broken = sweep["weak-pure"]
+        assert len(dependent) == 20 and unheld == dependent and not broken
+        for rel in base:
+            assert sweep[rel.name] == (set(), set(), set()), rel.name
+
+    def test_weak_fixture_has_two_outcomes(self):
+        search = all_outcomes(WeakPure(), G_WEAK)
+        assert search.complete
+        assert sorted(r.kept for r in search.outcomes) == [((0, 1), (0,)), ((1,), (0,))]
 
 
 class TestReachableRestrictions:
