@@ -168,11 +168,14 @@ def _cmd_orders(args) -> int:
 def _random_sub_restriction(rng: random.Random, r: Restriction) -> Restriction:
     """A random cut of `r`: each player keeps each strategy with chance
     1/2, or one drawn uniformly when that keeps none."""
-    keys = []
-    for i, ks in enumerate(r.kept):
-        keys += [(i, s) for s in ks if rng.random() < 0.5] or [(i, ks[rng.randrange(len(ks))])]
-    table = r.game.restrictions
-    return table[table.mask_of(keys)]
+    table, mask = r.game.restrictions, 0
+    for ks, bits in zip(r.kept, table.bits):
+        drawn = 0
+        for s in ks:
+            if rng.random() < 0.5:
+                drawn |= bits[s]
+        mask |= drawn or bits[ks[rng.randrange(len(ks))]]
+    return table[mask]
 
 
 def _check_one_game(args, rel: Relation, g: Game, rng: random.Random) -> Optional[str]:

@@ -17,7 +17,8 @@ the "global" variant.  `mode` is what an NBR belief ranges over: pure
 opponent joints, independent mixtures (exact on two players only), or
 correlated distributions.  Relations are hashable values so the simple
 relations' dominated sets, the base decisions, can be memoized per
-(relation, restriction), on the restriction's game.
+(relation, restriction), on the restriction's game.  Each relation hashes
+its fields once; `parse_relation` returns one value per (name, beliefs).
 
 Each class answers two questions apart.  Its decision `dominated(r, i)`
 yields player i's dominated strategies in R_i order, and the memo keeps
@@ -65,8 +66,9 @@ decides as, and reads the memo entry of, `StrictMixed` of its pool flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import StructuralError, UnsupportedConfiguration
@@ -85,6 +87,17 @@ INHERENT_JOINT_CAP = 16
 # Relations
 
 
+def _relation(cls):
+    """`dataclass(frozen=True)`, whose values hash their fields once and
+    pickle as their fields alone: an enum's hash is salted per process."""
+    cls = dataclass(frozen=True)(cls)
+    cls._hash = cached_property(cls.__hash__)
+    cls._hash.__set_name__(cls, "_hash")
+    cls.__hash__ = lambda self: self._hash
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, f.name) for f in fields(self)))
+    return cls
+
+
 def _pool(rel, r: Restriction, i: int) -> Sequence[int]:
     """The strategies a dominator may use: G_i for a global relation, else R_i."""
     return range(r.game.sizes[i]) if rel.global_pool else r.kept[i]
@@ -95,7 +108,7 @@ def _rivals(rel, r: Restriction, i: int, s: int) -> list[int]:
     return [t for t in _pool(rel, r, i) if t != s]
 
 
-@dataclass(frozen=True)
+@_relation
 class StrictPure:
     global_pool: bool = False
     belief_mode = None
@@ -121,7 +134,7 @@ class StrictPure:
         return strictly_dominates_pure(r, i, cert.strategy, s)
 
 
-@dataclass(frozen=True)
+@_relation
 class StrictMixed:
     global_pool: bool = False
     belief_mode = None
@@ -154,7 +167,7 @@ class StrictMixed:
         return _mixed_margin(r, i, cert.mixed, s) == cert.eps
 
 
-@dataclass(frozen=True)
+@_relation
 class NeverBestResponse:
     mode: BeliefMode
     global_pool: bool = False
@@ -218,13 +231,14 @@ class NeverBestResponse:
         return all(row[k] > mine[k] for row, k in zip(rows, ks))
 
 
-@dataclass(frozen=True)
+@_relation
 class Inherent:
     name = "inherent"
     belief_mode = None
 
     def dominated(self, r: Restriction, i: int) -> Iterator[int]:
-        _inherent_joints(r, i)  # raises past the cap
+        if r.opponent_mask(i).bit_count() > INHERENT_JOINT_CAP:
+            _inherent_joints(r, i)  # raises
         pool = r.kept[i]
         m, beats, candidates = _candidates(r, i, pool)
         for s in candidates:
@@ -253,7 +267,7 @@ class Inherent:
         )
 
 
-@dataclass(frozen=True)
+@_relation
 class Intersection:
     parts: tuple["Relation", ...]
 
@@ -297,6 +311,7 @@ _BY_NAME = {
 }
 
 
+@cache
 def parse_relation(name: str, beliefs: BeliefMode = BeliefMode.PURE) -> Relation:
     """Parse a relation name; distinct comma-joined names form an intersection."""
     known = _BY_NAME[beliefs]

@@ -24,12 +24,16 @@ masks on first use (not at construction, so generating a corpus stays
 cheap).  A `Game` hashes its content once.  `Game.restrictions` holds its
 one `Restriction` per kept set, by bitmask; only it knows the bit layout,
 and each entry hashes `(game, mask)` once, when built, so restrictions are
-cheap memo keys.  `Game.memo` holds only base decisions; both die with it.
+cheap memo keys.  Per player i it also keeps the opponent mask of each kept
+set of the other players, so `opponent_mask(i)` is a table read.  `Game.memo`
+holds only base decisions; all die with the game.  Pickling carries none: a game
+travels as its labels and payoffs, a restriction as its game and kept sets.
 
 The kernel's tables hold a whole payoff as its `int` and any other as its
 `Fraction`.  An `int` compares, hashes and adds exactly like the equal
-`Fraction`, so no decision changes, and the dominance scans compare plain
-integers instead of going through `Fraction`'s rich comparison.  `Game`
+`Fraction`, so no decision changes, the game's hash reads these values
+instead of calling `Fraction.__hash__`, and the dominance scans compare
+plain integers instead of going through `Fraction`'s rich comparison.  `Game`
 itself keeps `Fraction`s, and the LP builders take the kernel's values as
 they are: an `int` row goes into the simplex with nothing to clear.
 
@@ -99,15 +103,14 @@ class Game:
             raise StructuralError("payoffs must be Fractions")
 
     def __hash__(self) -> int:
-        # Content hash, computed on first use.  A restriction hashes its game
-        # once; rehashing the Fractions on every memo read would take 35 to
-        # 40 us per 3x3x3 game on one Xeon vCPU.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.labels, self.payoffs))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.labels, self.player_payoffs))
+
+    def __reduce__(self):
+        return Game, (self.labels, self.payoffs)  # the hash is salted per process
 
     @property
     def n(self) -> int:
@@ -222,6 +225,9 @@ class Restriction:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return Restriction, (self.game, self.kept)  # loads as the game's entry
+
     @property
     def n(self) -> int:
         return self.game.n
@@ -272,10 +278,7 @@ class Restriction:
         """The bitmask of `opponent_joints(i)` in `Game.beats`' bit order."""
         if not 0 <= i < len(self.kept):
             raise StructuralError(f"player index {i} out of range")
-        mask = 0
-        for o in _opponent_offsets(self.game, self.kept, i):
-            mask |= 1 << o
-        return mask
+        return self.game.restrictions.opponent_mask(self, i)
 
     def opponent_positions(self, i: int, opps: Iterable[Sequence[int]]) -> list[int]:
         """Position of each opponent joint in `opponent_joints(i)`."""
@@ -287,29 +290,38 @@ class Restriction:
 
 
 class _Restrictions(dict):
-    """A game's restrictions by bitmask: bit `base[i] + s` is strategy s of
-    player i, so bit order is canonical key order.  Only this class reads
-    that layout.  `__missing__` builds every `Restriction`, unchecked: a
-    mask asked for must keep a strategy of every player (see `starved`)."""
+    """A game's restrictions by bitmask: `bits[i][s]`, bit `base[i] + s`, is
+    strategy s of player i, so bit order is canonical key order.  Only this
+    class reads that layout.  `__missing__` builds every `Restriction`,
+    unchecked: a mask asked for must keep a strategy of every player (see `starved`)."""
 
     def __init__(self, game: Game):
         self.game = game
         self.base = (0, *accumulate(game.sizes))
         self.full = (1 << self.base[-1]) - 1
         self.spans = tuple((1 << e) - (1 << b) for b, e in pairwise(self.base))
+        self.bits = tuple(tuple(1 << t for t in range(b, e)) for b, e in pairwise(self.base))
+        self.opponents: dict[int, int] = {}
 
     def __missing__(self, mask: int) -> Restriction:
-        spans = pairwise(self.base)
-        kept = tuple(tuple(t - b for t in range(b, e) if mask >> t & 1) for b, e in spans)
+        kept = tuple(tuple(s for s, bit in enumerate(bits) if mask & bit) for bits in self.bits)
         r = self[mask] = object.__new__(Restriction)
         vars(r).update(game=self.game, kept=kept, mask=mask, _hash=hash((self.game, mask)))
         return r
+
+    def opponent_mask(self, r: Restriction, i: int) -> int:
+        """`r.opponent_mask(i)`, by r's bits of the other players, built once.
+        Only player i's span of the key is empty, so the key names i too."""
+        masks, key = self.opponents, r.mask & ~self.spans[i]
+        if key not in masks:
+            masks[key] = sum(1 << o for o in _opponent_offsets(self.game, r.kept, i))
+        return masks[key]
 
     def mask_of(self, keys: Iterable[tuple[int, int]]) -> int:
         """The mask of (player, strategy) keys of the game."""
         mask = 0
         for i, s in keys:
-            mask |= 1 << (self.base[i] + s)
+            mask |= self.bits[i][s]
         return mask
 
     def starved(self, mask: int) -> Optional[int]:

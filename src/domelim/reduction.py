@@ -183,7 +183,7 @@ def all_outcomes(rel: Relation, g: Game, budget: int = DEFAULT_BUDGET) -> Outcom
         explored += 1
         if not dom:
             outcomes.add(r)
-        elif None in children:
+        elif not all(children):
             complete = False
     return OutcomeSearch(frozenset(outcomes), complete, explored)
 

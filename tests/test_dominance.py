@@ -1,5 +1,6 @@
 """The seven relations, certificates, and the persistence construction."""
 
+import pickle
 import random
 import sys
 from dataclasses import replace
@@ -269,6 +270,16 @@ class TestInherent:
         forged = InherentEvidence((((r.opponent_joints(0)[0],), 1),))
         with pytest.raises(UnsupportedConfiguration, match="^20 opponent joints"):
             verify_certificate(Inherent(), r, 0, 0, forged)
+        # At the cap: player 0 of a 2 x 17 game kept to 16 opponent joints,
+        # where b beats a on each, is decided; at 17 it is refused.
+        labels = [("a", "b"), tuple(f"s{k}" for k in range(17))]
+        g = Game.from_table(labels, [(0, 0)] * 17 + [(1, 0)] * 17)
+        assert dominated_set(Inherent(), Restriction(g, ((0, 1), tuple(range(16))))) == ((0, 0),)
+        with pytest.raises(
+            UnsupportedConfiguration,
+            match="^17 opponent joints exceed the inherent-dominance cap 16$",
+        ):
+            dominated_set(Inherent(), Restriction.full(g))
 
     def test_strict_pure_implies_inherent(self):
         rng = random.Random(23)
@@ -776,16 +787,44 @@ class TestRelationNames:
     )
     def test_round_trip(self, name):
         assert parse_relation(name).name == name
+        for mode in BeliefMode:  # one value per (name, beliefs)
+            assert parse_relation(name, mode) is parse_relation(name, mode)
 
     def test_unknown_rejected(self):
-        with pytest.raises(StructuralError):
-            parse_relation("weak-pure")
+        for _ in range(2):  # on every call: errors are not cached
+            with pytest.raises(StructuralError, match="^unknown relation 'weak-pure'$"):
+                parse_relation("weak-pure")
 
     def test_repeated_part_rejected(self):
         assert parse_relation("nbr,global-nbr").name == "nbr,global-nbr"
         for name in ("strict-pure,strict-pure", "nbr,inherent, nbr"):
             with pytest.raises(StructuralError, match="named twice"):
                 parse_relation(name, CORR)
+
+
+class TestRelationValues:
+    """Relations key every memo read, so each hashes its fields once."""
+
+    @pytest.mark.parametrize("mode", list(BeliefMode))
+    def test_equal_relations_built_apart_hash_equal(self, mode):
+        for pool in (False, True):
+            a, b = NeverBestResponse(mode, pool), NeverBestResponse(mode, global_pool=pool)
+            assert a is not b and a == b and hash(a) == hash(b) == vars(a)["_hash"]
+            assert a != NeverBestResponse(mode, not pool)
+            assert parse_relation(a.name, mode) == a and hash(parse_relation(a.name, mode)) == hash(a)
+            both = [Intersection((StrictPure(pool), rel, Inherent())) for rel in (a, b)]
+            assert both[0] == both[1] and hash(both[0]) == hash(both[1])
+            assert parse_relation(both[0].name, mode) == both[0]
+            assert hash(parse_relation(both[0].name, mode)) == hash(both[0])
+            assert len({a, b, *both, StrictMixed(pool), StrictMixed(pool)}) == 3
+
+    def test_pickled_relations_carry_only_their_fields(self):
+        for rel in (Inherent(), StrictMixed(True), NeverBestResponse(CORR, True),
+                    parse_relation("strict-pure,nbr,inherent", CORR)):
+            data = pickle.dumps(rel)
+            assert b"_hash" not in data  # salted per process: rebuilt on load
+            loaded = pickle.loads(data)
+            assert loaded is not rel and loaded == rel and hash(loaded) == hash(rel)
 
 
 class TestMixedSurgery:

@@ -1,6 +1,8 @@
 """Game model: payoffs, restrictions, mixed strategies, beliefs."""
 
+import copy
 import gc
+import pickle
 import random
 import weakref
 from fractions import Fraction as F
@@ -8,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from domelim import dominance, generate
+from domelim import dominance, generate, reduction
 from domelim.errors import StructuralError
 from domelim.game import (
     CorrelatedBelief,
@@ -17,7 +19,7 @@ from domelim.game import (
     Restriction,
     restriction_leq,
 )
-from domelim.gamefile import parse_game
+from domelim.gamefile import parse_game, write_game
 from domelim.generate import random_game
 
 from oracles import expected_payoff, full_joint, joints, payoff
@@ -93,6 +95,21 @@ class TestGameIdentity:
         assert built == fresh and hash(built) == hash(fresh)
         r1, r2 = Restriction.full(built), Restriction.full(fresh)
         assert r1 == r2 and hash(r1) == hash(r2)
+
+    def test_equal_games_hash_equal_through_the_kernel(self):
+        # A game hashes its labels and `player_payoffs`, where a whole payoff
+        # is its `int`: equal content hashes equal however it was built.
+        text = "players 2\nlabels 1: U D\nlabels 2: L R\npayoffs\n1/2 3\n-4/6 0\n2 7/3\n-1 -5/2\n"
+        rng = random.Random(12)
+        for g in [parse_game(text)] + [random_game(rng, 2 + k % 2) for k in range(6)]:
+            copies = [
+                parse_game(write_game(g)),
+                Game(g.labels, tuple(F(p.numerator, p.denominator) for p in g.payoffs)),
+                Game.from_table(g.labels, [g.payoffs[k : k + g.n] for k in range(0, len(g.payoffs), g.n)]),
+            ]
+            for other in copies:
+                assert other is not g and other == g and hash(other) == hash(g)
+            assert hash(g) == hash((g.labels, g.player_payoffs))
 
     def test_one_payoff_apart_compares_unequal(self):
         g1 = random_game(random.Random(7), 2)
@@ -226,6 +243,41 @@ class TestRestrictionTable:
         del g
         gc.collect()
         assert entry() is None and game() is None
+
+
+class TestPickleAndCopy:
+    """A game travels as its labels and payoffs: its hash is salted per
+    process, and its tables and memo are rebuilt on first use.  A
+    restriction travels as its game and kept sets, and loads as the loaded
+    game's table entry."""
+
+    @staticmethod
+    def decided_game():
+        g = random_game(random.Random(35), 3)
+        reduction.all_outcomes(dominance.Inherent(), g)
+        assert g.memo and len(g.restrictions) > 1
+        return g
+
+    def test_decided_game_round_trips(self):
+        g = self.decided_game()
+        for other in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+            assert set(vars(other)) <= {"labels", "payoffs", "sizes"}  # nothing built
+            assert other is not g and other == g and hash(other) == hash(g)
+            assert not other.memo and not other.restrictions
+
+    def test_restriction_loads_as_the_loaded_games_entry(self):
+        g = self.decided_game()
+        rel = dominance.Inherent()
+        for r in list(g.restrictions.values())[:5]:
+            g2, r2 = pickle.loads(pickle.dumps((g, r)))
+            assert r2 is Restriction(g2, r.kept) is g2.restrictions[r.mask] and g2 is not g
+            assert r2 == r and hash(r2) == hash(r) and r2 in {r}
+            assert dominance.dominated_set(rel, r2) == dominance.dominated_set(rel, r)
+            alone = pickle.loads(pickle.dumps(r))
+            assert alone is Restriction(alone.game, r.kept) and alone == r
+            deep = copy.deepcopy(r)
+            assert deep.game is not g and deep is Restriction(deep.game, r.kept) and deep == r
+            assert copy.copy(r) is r
 
 
 class TestRestriction:

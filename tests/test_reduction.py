@@ -25,7 +25,7 @@ from domelim.errors import (
     StructuralError,
     UnsupportedConfiguration,
 )
-from domelim.game import BeliefMode, Game, Restriction, restriction_leq
+from domelim.game import BeliefMode, Game, Restriction, _opponent_offsets, restriction_leq
 from domelim.gamefile import parse_game, write_game
 from domelim.generate import random_game
 from domelim.lp import best_response_feasible
@@ -455,9 +455,10 @@ def _outcome(f, *args):
 
 class TestMaskGeometry:
     """A restriction is its mask: each table entry of a walked game is the
-    restriction the checked constructor returns for its kept tuples, and
-    the bit-level `restriction_leq` and `remove` answer as the former
-    kept-tuple ones in `oracles` do, errors included."""
+    restriction the checked constructor returns for its kept tuples, its
+    opponent masks are the offsets' masks, and the bit-level
+    `restriction_leq` and `remove` answer as the former kept-tuple ones in
+    `oracles` do, errors included."""
 
     @staticmethod
     def walked_games():
@@ -467,13 +468,22 @@ class TestMaskGeometry:
         return games
 
     def test_entries_are_their_masks(self):
-        entries = 0
+        # The walk decides every entry for every player, so it also fills the
+        # opponent table: one mask per player and kept set of the others.
+        entries = shared = 0
         for g in self.walked_games():
-            for mask, r in g.restrictions.items():
+            table = g.restrictions
+            filled = dict(table.opponents)
+            for mask, r in table.items():
                 assert r.mask == mask == mask_reference(r)
                 assert Restriction(g, r.kept) is r and r.game is g
+                for i in range(g.n):
+                    want = sum(1 << o for o in _opponent_offsets(g, r.kept, i))
+                    assert filled[mask & ~table.spans[i]] == r.opponent_mask(i) == want
                 entries += 1
-        assert entries > 100
+            assert table.opponents == filled
+            shared += len(table) * g.n - len(filled)
+        assert entries > 100 and shared > 0
 
     def test_leq_and_remove_match_the_references(self):
         errors = []
