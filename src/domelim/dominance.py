@@ -215,7 +215,7 @@ class NeverBestResponse:
             rivals = _rivals(self, r, i, s)
             if cert.better or not rivals:
                 return False
-            eps, mixed = max_min_advantage(r, i, s, rivals)  # checks that R holds s
+            eps, mixed = max_min_advantage(r, i, s, rivals)
             return eps > 0 and _mixed_margin(r, i, mixed, s) == eps
         # One strictly better pool strategy at each opponent joint of R.
         opps = r.opponent_joints(i)
@@ -550,7 +550,9 @@ def certify(rel: Relation, r: Restriction, i: int, s: int) -> Certificate:
 def verify_certificate(
     rel: Relation, r: Restriction, i: int, s: int, cert: Certificate
 ) -> bool:
-    """Re-check a certificate against the defining inequalities."""
+    """Re-check a certificate of (i, s) in r against the defining inequalities."""
+    if not r.contains(i, s):
+        raise StructuralError(f"strategy {s} not in restriction for player {i}")
     return rel.verify(r, i, s, cert)
 
 

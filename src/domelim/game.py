@@ -22,11 +22,12 @@ mask all take their offsets from one helper, `_opponent_offsets`, so they
 cannot disagree on joint order.  A `Game` builds the flat payoffs and the
 masks on first use (not at construction, so generating a corpus stays
 cheap).  A `Game` hashes its content once.  `Game.restrictions` holds its
-one `Restriction` per kept set, by bitmask; only it knows the bit layout,
-and each entry hashes `(game, mask)` once, when built, so restrictions are
-cheap memo keys.  Per player i it also keeps the opponent mask of each kept
-set of the other players, so `opponent_mask(i)` is a table read.  `Game.memo`
-holds only base decisions; all die with the game.  Pickling carries none: a game
+one `Restriction` per kept set, by bitmask; only it and `cli`'s random cut,
+which reads its `bits`, know the bit layout.  Each entry hashes
+`(game, mask)` once, when built, so restrictions are cheap memo keys.  Per
+player i it also keeps the opponent mask of each kept set of the other
+players, so `opponent_mask(i)` is a table read.  `Game.memo` holds only
+base decisions; all die with the game.  Pickling carries none: a game
 travels as its labels and payoffs, a restriction as its game and kept sets.
 
 The kernel's tables hold a whole payoff as its `int` and any other as its
@@ -292,8 +293,9 @@ class Restriction:
 class _Restrictions(dict):
     """A game's restrictions by bitmask: `bits[i][s]`, bit `base[i] + s`, is
     strategy s of player i, so bit order is canonical key order.  Only this
-    class reads that layout.  `__missing__` builds every `Restriction`,
-    unchecked: a mask asked for must keep a strategy of every player (see `starved`)."""
+    class and `cli._random_sub_restriction`, through `bits`, read that
+    layout.  `__missing__` builds every `Restriction`, unchecked: a mask
+    asked for must keep a strategy of every player (see `starved`)."""
 
     def __init__(self, game: Game):
         self.game = game

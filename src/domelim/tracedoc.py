@@ -4,8 +4,11 @@ Rationals travel as strings ("p/q", or "p" when the denominator is 1);
 players are 1-based and strategies are labels, so documents stay readable
 next to the game file they came from.  A step of a `Trace` holds only the
 keys it removes; writing the document builds each removal's certificate
-with `dominance.certify`.  Certificates round-trip and can be re-verified
-against a freshly parsed game.
+with `dominance.certify`.  The reader re-verifies each certificate on a
+freshly parsed game, builds the document again with the writer's
+`_document` from the steps it replayed, and requires equal JSON: one rule
+for every field, order and spelling.  Parsing keeps its type checks, since
+`True == 1` in a JSON comparison.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .dominance import (
     MixedDominator,
     NeverBest,
     PureDominator,
+    Relation,
     certify,
     dominated_set,
     parse_relation,
@@ -50,14 +54,6 @@ def _field(doc, key: str, kind: type):
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise StructuralError(f"{key!r} must be a {kind.__name__}")
     return value
-
-
-def _only(doc, *keys: str):
-    """`doc`, which must hold no field outside `keys` if it is an object."""
-    for key in doc if isinstance(doc, dict) else ():
-        if key not in keys:
-            raise StructuralError(f"unknown field {key!r}")
-    return doc
 
 
 def _belief_mode(value) -> BeliefMode:
@@ -145,8 +141,6 @@ def certificate_from_json(g: Game, i: int, doc: dict) -> Certificate:
                 )
                 for e in _field(doc, "evidence", list)
             )
-        elif _field(doc, "evidence", str) != "lp-infeasible":
-            raise StructuralError("LP-mode evidence must be 'lp-infeasible'")
         return NeverBest(mode, _field(doc, "global", bool), better)
     if kind == "inherent":
         return InherentEvidence(
@@ -167,11 +161,12 @@ def certificate_from_json(g: Game, i: int, doc: dict) -> Certificate:
     raise StructuralError(f"unknown certificate type {kind!r}")
 
 
-def trace_to_document(trace: Trace) -> dict:
-    g = trace.initial
-    mode = trace.relation.belief_mode
+def _document(rel: Relation, g: Game, steps, kept) -> dict:
+    """What the writer writes for `rel` on `g`: per step of `steps`, its
+    policy name and its removals' certificates by key, in key order; then
+    the outcome's kept sets `kept`.  The reader requires the same."""
     doc = {
-        "relation": trace.relation.name,
+        "relation": rel.name,
         "initial": {"labels": [list(names) for names in g.labels]},
         "steps": [
             {
@@ -179,26 +174,30 @@ def trace_to_document(trace: Trace) -> dict:
                     {
                         "player": i + 1,
                         "strategy": _label(g, i, s),
-                        "certificate": certificate_to_json(
-                            g, i, certify(trace.relation, step.before, i, s)
-                        ),
+                        "certificate": certificate_to_json(g, i, removed[i, s]),
                     }
-                    for i, s in step.removed
+                    for i, s in sorted(removed)
                 ],
-                "policy": POLICY_NAMES[type(trace.policy)],
+                "policy": policy,
             }
-            for step in trace.steps
+            for policy, removed in steps
         ],
         "outcome": {
-            "kept": [
-                [_label(g, i, s) for s in ks]
-                for i, ks in enumerate(trace.outcome.kept)
-            ]
+            "kept": [[_label(g, i, s) for s in ks] for i, ks in enumerate(kept)]
         },
     }
-    if mode is not None:
-        doc["belief_mode"] = mode.value
+    if rel.belief_mode is not None:
+        doc["belief_mode"] = rel.belief_mode.value
     return doc
+
+
+def trace_to_document(trace: Trace) -> dict:
+    rel, policy = trace.relation, POLICY_NAMES[type(trace.policy)]
+    steps = [
+        (policy, {(i, s): certify(rel, step.before, i, s) for i, s in step.removed})
+        for step in trace.steps
+    ]
+    return _document(rel, trace.initial, steps, trace.outcome.kept)
 
 
 def dump_trace(trace: Trace) -> str:
@@ -208,52 +207,45 @@ def dump_trace(trace: Trace) -> str:
 def verify_trace_document(doc: dict, g: Game) -> None:
     """Replay a trace document against a game; raises on any defect.
 
-    No object holds a field the writer does not write, a certificate is
-    what the writer writes for it, and a `belief_mode` is given exactly
-    for a relation that has one.  Every step names an order policy and
-    removes something, no strategy twice and one under `single-*`.  The
-    replayed outcome must be irreducible.
+    Every certificate must re-verify by substitution on the restriction
+    its step starts from.  Every step names an order policy and removes
+    something, one strategy under `single-*`.  The document must then be
+    exactly the one the writer writes for the replayed steps and outcome,
+    and that outcome must be irreducible.
     """
-    _only(doc, "relation", "belief_mode", "initial", "steps", "outcome")
-    name = _field(doc, "relation", str)
-    rel = parse_relation(name, _belief_mode(doc.get("belief_mode", BeliefMode.PURE.value)))
-    if ("belief_mode" in doc) != (rel.belief_mode is not None):
-        raise StructuralError(f"belief_mode does not fit relation {name!r}")
-    labels = _field(_only(_field(doc, "initial", dict), "labels"), "labels", list)
+    labels = _field(_field(doc, "initial", dict), "labels", list)
     if labels != [list(names) for names in g.labels]:
         raise InvalidCertificate("trace labels do not match the game")
+    mode = _belief_mode(doc.get("belief_mode", BeliefMode.PURE.value))
+    rel = parse_relation(_field(doc, "relation", str), mode)
     r = Restriction.full(g)
+    steps = []
     for step in _field(doc, "steps", list):
-        policy = _field(_only(step, "removed", "policy"), "policy", str)
+        policy = _field(step, "policy", str)
         if policy not in POLICY_NAMES.values():
             raise StructuralError(f"unknown order policy {policy!r}")
-        removed = []
+        removed = {}
         for entry in _field(step, "removed", list):
-            player = _field(_only(entry, "player", "strategy", "certificate"), "player", int)
+            player = _field(entry, "player", int)
             if not 1 <= player <= g.n:
                 raise StructuralError(f"player {player} out of range")
             i = player - 1
             label = _field(entry, "strategy", str)
             s = _index(g, i, label)
-            if (i, s) in removed:
-                raise InvalidCertificate(f"a step removes strategy {label!r} twice")
-            cert_json = _field(entry, "certificate", dict)
-            cert = certificate_from_json(g, i, cert_json)
-            if certificate_to_json(g, i, cert) != cert_json:
-                raise StructuralError(f"certificate for strategy {label!r} is not canonical")
+            cert = certificate_from_json(g, i, _field(entry, "certificate", dict))
             if not verify_certificate(rel, r, i, s, cert):
                 raise InvalidCertificate(
                     f"certificate for player {player} strategy {label!r} "
                     "fails re-verification"
                 )
-            removed.append((i, s))
+            removed[i, s] = cert
         if not removed:
             raise InvalidCertificate("a step removes no strategy")
         if len(removed) > 1 and policy != POLICY_NAMES[FullSpeed]:
             raise InvalidCertificate(f"a {policy} step removes {len(removed)} strategies")
+        steps.append((policy, removed))
         r = r.remove(removed)
-    kept = [[_label(g, i, s) for s in ks] for i, ks in enumerate(r.kept)]
-    if kept != _field(_only(_field(doc, "outcome", dict), "kept"), "kept", list):
-        raise InvalidCertificate("trace outcome does not match the replayed steps")
+    if _document(rel, g, steps, r.kept) != doc:
+        raise InvalidCertificate("trace is not the document written for its replayed steps")
     if dominated_set(rel, r):
         raise InvalidCertificate("trace outcome is not irreducible: steps are missing")

@@ -38,7 +38,8 @@ layout: the mask-level `restriction_leq`, `remove` and `Restriction.mask`
 must agree with them.  `WeakPure` is a relation that must fail, weak
 dominance, which is order dependent; `ordinal_games` enumerates every
 two-player game of a shape up to each player's weak orders, and
-`newman_sweep` checks the paper's chain on each order graph.
+`newman_sweep` checks the paper's chain and the proof shape on each order
+graph.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ from domelim.reduction import (
     ReductionStep,
     all_outcomes,
     check_hereditary_step,
+    check_proof_shape,
     reachable_steps,
 )
 
@@ -718,23 +720,25 @@ def ordinal_games(rows: int, cols: int):
 
 
 def newman_sweep(games, rels) -> dict:
-    """Per relation name, three sets of indices into `games`: the games it
-    is order dependent on, those with a non-hereditary reachable step, and
-    those that break the paper's chain on the order graph.  The chain: if
-    every step is hereditary there is one outcome, and there is one outcome
-    exactly when the graph's `FiniteArs` is weakly confluent, and exactly
-    when it has unique normal forms (Newman's lemma on a finite acyclic
-    system).  A graph the walk did not cover whole breaks it too."""
-    out = {rel.name: (set(), set(), set()) for rel in rels}
+    """Per relation name, four sets of indices into `games`: the games it
+    is order dependent on, those with a non-hereditary reachable step,
+    those with a reachable step not of the proof shape, and those that
+    break the paper's chain on the order graph.  The chain: if every step
+    is hereditary there is one outcome, and there is one outcome exactly
+    when the graph's `FiniteArs` is weakly confluent, and exactly when it
+    has unique normal forms (Newman's lemma on a finite acyclic system).
+    A graph the walk did not cover whole breaks it too."""
+    out = {rel.name: (set(), set(), set(), set()) for rel in rels}
     for k, g in enumerate(games):
         for rel in rels:
-            dependent, unheld, broken = out[rel.name]
+            dependent, unheld, shapeless, broken = out[rel.name]
             search = all_outcomes(rel, g)
             index = {Restriction.full(g): 0}
             arrows = set()
-            hereditary = True
+            hereditary = shaped = True
             for step in reachable_steps(rel, g):
                 hereditary = hereditary and check_hereditary_step(rel, step) is None
+                shaped = shaped and check_proof_shape(rel, step)
                 a = index.setdefault(step.before, len(index))
                 arrows.add((a, index.setdefault(step.after, len(index))))
             ars = FiniteArs(len(index), frozenset(arrows))
@@ -743,6 +747,8 @@ def newman_sweep(games, rels) -> dict:
                 dependent.add(k)
             if not hereditary:
                 unheld.add(k)
+            if not shaped:
+                shapeless.add(k)
             whole = search.complete and len(index) == search.explored
             chain = one == ars_is_weakly_confluent(ars)[0] == ars_unique_nf(ars)
             if not (whole and chain) or (hereditary and not one):

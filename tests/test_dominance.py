@@ -666,7 +666,8 @@ class TestStrictMixedLp:
 
 class TestCertify:
     """`certify` builds the canonical certificate of a dominated key, the
-    per-strategy reference's, and refuses a strategy that is not one."""
+    per-strategy reference's, and refuses a strategy that is not one;
+    `verify_certificate` refuses a strategy outside R under every kind."""
 
     SIMPLE = [Inherent()] + [
         rel
@@ -712,6 +713,24 @@ class TestCertify:
         for i, s in [(0, 0), (0, 2), (2, 0)]:
             with pytest.raises(StructuralError):
                 certify(StrictPure(), r, i, s)
+
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            StrictPure(),
+            StrictMixed(),
+            NeverBestResponse(PURE),
+            NeverBestResponse(CORR),
+            Inherent(),
+            Intersection((StrictMixed(), NeverBestResponse(PURE))),
+        ],
+        ids=["strict-pure", "strict-mixed", "pure-nbr", "lp-nbr", "inherent", "intersection"],
+    )
+    def test_verify_refuses_a_strategy_outside_the_restriction(self, g_pd, rel):
+        full = Restriction.full(g_pd)
+        cert = certify(rel, full, 0, 0)
+        with pytest.raises(StructuralError, match="strategy 0 not in restriction for player 0"):
+            verify_certificate(rel, full.remove([(0, 0)]), 0, 0, cert)
 
 
 class TestIntersectionEntries:

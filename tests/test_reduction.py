@@ -521,18 +521,19 @@ class TestBudgetArgument:
 
 class TestOrderDependence:
     """A relation that must fail.  Weak dominance (the test-only `WeakPure`)
-    is order dependent, and the walk, the step checker and the order
+    is order dependent, and the walk, both step checkers and the order
     graph's `FiniteArs` must each show it, as Newman's chain says."""
 
     def test_every_two_by_two_ordinal_game(self):
         games = list(ordinal_games(2, 2))
         assert len(games) == 81
-        base = lp_free_relations()[:5]
-        sweep = newman_sweep(games, [WeakPure()] + base)
-        dependent, unheld, broken = sweep["weak-pure"]
-        assert len(dependent) == 20 and unheld == dependent and not broken
-        for rel in base:
-            assert sweep[rel.name] == (set(), set(), set()), rel.name
+        rels = lp_free_relations()
+        assert len(rels) == 15
+        sweep = newman_sweep(games, [WeakPure()] + rels)
+        dependent, unheld, shapeless, broken = sweep["weak-pure"]
+        assert len(dependent) == 20 and unheld == shapeless == dependent and not broken
+        for rel in rels:
+            assert sweep[rel.name] == (set(), set(), set(), set()), rel.name
 
     def test_weak_fixture_has_two_outcomes(self):
         search = all_outcomes(WeakPure(), G_WEAK)

@@ -220,6 +220,14 @@ def _append(*path, source):
     return mutate
 
 
+def _reverse(*path):
+    def mutate(doc):
+        _at(doc, path).reverse()
+        return doc
+
+    return mutate
+
+
 def _repeat_first_part(doc):
     """The intersection once more with its first part, certified again."""
     doc["relation"] += "," + doc["relation"].split(",")[0]
@@ -239,6 +247,7 @@ NON_CANONICAL = {
     "removal listed twice": (
         StrictPure(), FullSpeed(), _append("steps", 0, "removed", source=ENTRY)
     ),
+    "removals out of key order": (StrictPure(), FullSpeed(), _reverse("steps", 0, "removed")),
     "single step removing two": (
         StrictPure(), FullSpeed(), _set("steps", 0, "policy", value="single-lex")
     ),
